@@ -215,7 +215,7 @@ def cmd_eval(args) -> int:
     cfg = eval3d.MatchConfig(iou_threshold=iou, metric=args.metric)
 
     gt_files = sorted(gt_dir.glob("*.txt"))
-    per_image = []
+    gt_records_per_image, frames_all = [], []
     for gt_path in gt_files:
         pred_path = pred_dir / gt_path.name
         if not pred_path.is_file():
@@ -224,12 +224,18 @@ def cmd_eval(args) -> int:
         pred_records = dataio.read_labels(pred_path)
         gts, gt_bboxes = _records_to_boxes(gt_records, args.class_name, default_score=1.0)
         preds, pred_bboxes = _records_to_boxes(pred_records, args.class_name, default_score=1.0)
-        per_image.append((gt_records, gts, gt_bboxes, preds, pred_bboxes))
+        gt_records_per_image.append(gt_records)
+        frames_all.append(
+            eval3d.EvalFrame(preds=preds, gts=gts, pred_bboxes=pred_bboxes, gt_bboxes=gt_bboxes)
+        )
 
+    # The difficulty rows differ only in which ground truths they ignore,
+    # so all four share one IoU matrix per frame.
+    ious = [eval3d.iou_matrix(frame, cfg.metric) for frame in frames_all]
     rows = {}
     for level, name in enumerate(eval3d.DIFFICULTY_NAMES):
         frames = []
-        for gt_records, gts, gt_bboxes, preds, pred_bboxes in per_image:
+        for frame, gt_records in zip(frames_all, gt_records_per_image):
             ignored = np.array(
                 [
                     not eval3d.matches_difficulty(r.bottom - r.top, r.occluded, r.truncated, level)
@@ -237,21 +243,9 @@ def cmd_eval(args) -> int:
                 ],
                 dtype=bool,
             )
-            frames.append(
-                eval3d.EvalFrame(
-                    preds=preds,
-                    gts=gts,
-                    pred_bboxes=pred_bboxes,
-                    gt_bboxes=gt_bboxes,
-                    gt_ignored=ignored,
-                )
-            )
-        rows[name] = eval3d.ap_r40_frames(frames, cfg)
-    frames_all = [
-        eval3d.EvalFrame(preds=preds, gts=gts, pred_bboxes=pred_bboxes, gt_bboxes=gt_bboxes)
-        for _, gts, gt_bboxes, preds, pred_bboxes in per_image
-    ]
-    rows["all"] = eval3d.ap_r40_frames(frames_all, cfg)
+            frames.append(replace(frame, gt_ignored=ignored))
+        rows[name] = eval3d.ap_r40_frames(frames, cfg, ious)
+    rows["all"] = eval3d.ap_r40_frames(frames_all, cfg, ious)
 
     print(f"class={args.class_name} metric={args.metric} iou={iou:.2f} recall_points={cfg.recall_points}")
     print(f"{'difficulty':<12}{'AP%':>8}{'gt':>6}{'pred':>6}{'tp':>6}{'fp':>6}{'ignored':>9}")
@@ -330,21 +324,7 @@ def cmd_stats(args) -> int:
         raise DataIOError(f"no label files in {pred_dir}")
     boxes = []
     for path in files:
-        for rec in dataio.read_labels(path):
-            if rec.type == args.class_name:
-                boxes.append(
-                    pseudolabel.Box3D(
-                        class_id=rec.type,
-                        x=rec.x,
-                        y=rec.y,
-                        z=rec.z,
-                        h=rec.h,
-                        w=rec.w,
-                        l=rec.l,
-                        yaw=rec.rotation_y,
-                        score=rec.score if rec.score is not None else 1.0,
-                    )
-                )
+        boxes += _records_to_boxes(dataio.read_labels(path), args.class_name, default_score=1.0)[0]
     if not boxes:
         raise EmptyInputError(f"no {args.class_name!r} boxes in {pred_dir}")
     stats = eval3d.height_histogram(boxes, bin_width=args.bin_width)

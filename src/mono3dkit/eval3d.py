@@ -10,7 +10,9 @@ sequential result exactly.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,6 +28,7 @@ __all__ = [
     "bev_iou",
     "iou3d",
     "box2d_iou",
+    "iou_matrix",
     "ap_r40",
     "ap_r40_frames",
     "height_histogram",
@@ -37,6 +40,9 @@ __all__ = [
 _AREA_EPS = 1e-12
 # Boundary tolerance for the point-left-of-edge test during clipping.
 _EDGE_EPS = 1e-9
+# Slack on the zero-IoU prefilter's reach, relative to the boxes' radii and
+# coordinate magnitudes, covering rounding in the corners and the distance.
+_PREFILTER_MARGIN = 1e-6
 
 METRICS = ("3d", "bev", "bbox2d")
 
@@ -150,7 +156,10 @@ def _clip_polygon(subject, clip):
                 d2 = ex * (py - ay) - ey * (px - ax)
                 denom = d1 - d2
                 if abs(denom) > 1e-30:
-                    t = d1 / denom
+                    # With both ends within _EDGE_EPS of the line, d1 and d2
+                    # can share a sign; clamping keeps the point on the
+                    # segment instead of extrapolating along the edge line.
+                    t = min(1.0, max(0.0, d1 / denom))
                     output.append((sx + t * (px - sx), sy + t * (py - sy)))
             if p_in:
                 output.append((px, py))
@@ -200,18 +209,52 @@ def box2d_iou(a, b) -> float:
     return min(1.0, max(0.0, inter / union))
 
 
-def _frame_iou_fn(frame: EvalFrame, metric: str):
-    if metric == "3d":
-        return lambda i, j: iou3d(frame.preds[i], frame.gts[j])
-    if metric == "bev":
-        return lambda i, j: bev_iou(frame.preds[i], frame.gts[j])
-    if frame.pred_bboxes is None or frame.gt_bboxes is None:
+def iou_matrix(frame: EvalFrame, metric: str) -> np.ndarray:
+    """(P, G) IoU of every prediction of `frame` against every ground truth.
+
+    Pairs that provably have IoU 0 are skipped: for 3d and bev, footprints
+    whose circumscribed circles are disjoint, and for 3d, boxes without
+    vertical overlap.  Every other pair goes through the scalar
+    :func:`iou3d`, :func:`bev_iou` or :func:`box2d_iou`, so each entry is
+    bit-identical to the scalar value.
+    """
+    if metric not in METRICS:
+        raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
+    if metric == "bbox2d" and (frame.pred_bboxes is None or frame.gt_bboxes is None):
         raise ValueError("bbox2d metric needs pred_bboxes and gt_bboxes on every frame")
-    return lambda i, j: box2d_iou(frame.pred_bboxes[i], frame.gt_bboxes[j])
+    preds, gts = frame.preds, frame.gts
+    ious = np.zeros((len(preds), len(gts)))
+    if ious.size == 0:
+        return ious
+    if metric == "bbox2d":
+        for i, j in np.ndindex(ious.shape):
+            ious[i, j] = box2d_iou(frame.pred_bboxes[i], frame.gt_bboxes[j])
+        return ious
+
+    def layout(boxes):
+        x, z, l, w, y, h = np.array([(b.x, b.z, b.l, b.w, b.y, b.h) for b in boxes], dtype=float).T
+        # Circumradius of the footprint grown by the clip tolerance, which
+        # moves each edge outward by _EDGE_EPS / (its length).
+        radius = 0.5 * np.hypot(l + 2.0 * _EDGE_EPS / w, w + 2.0 * _EDGE_EPS / l)
+        slack = _PREFILTER_MARGIN * (radius + np.abs(x) + np.abs(z))
+        return x, z, radius + slack, y - h, y
+
+    px, pz, p_reach, p_top, p_bottom = (col[:, None] for col in layout(preds))
+    gx, gz, g_reach, g_top, g_bottom = (col[None, :] for col in layout(gts))
+    reach = p_reach + g_reach
+    # Negated so that pairs with NaN coordinates are left to the scalar IoU.
+    candidates = ~((px - gx) ** 2 + (pz - gz) ** 2 > reach * reach)
+    if metric == "3d":
+        # iou3d's own early exit, evaluated for every pair at once.
+        candidates &= ~(np.minimum(p_bottom, g_bottom) - np.maximum(p_top, g_top) <= 0)
+    pair_iou = iou3d if metric == "3d" else bev_iou
+    for i, j in zip(*np.nonzero(candidates)):
+        ious[i, j] = pair_iou(preds[i], gts[j])
+    return ious
 
 
-def _match_frame(frame: EvalFrame, cfg: MatchConfig):
-    """Greedy score-descending matching of one frame.
+def _match_frame(frame: EvalFrame, cfg: MatchConfig, ious: np.ndarray):
+    """Greedy score-descending matching of one frame by its IoU matrix.
 
     Returns (flags, num_valid_gt) where flags is a score-ordered list of
     (score, outcome) with outcome 1 = true positive, 0 = false positive,
@@ -230,17 +273,21 @@ def _match_frame(frame: EvalFrame, cfg: MatchConfig):
     if len(classes) > 1:
         raise ValueError(f"ap_r40 evaluates one class at a time, got {sorted(classes)}")
 
-    iou_fn = _frame_iou_fn(frame, cfg.metric)
+    if ious.shape != (len(frame.preds), len(frame.gts)):
+        raise ValueError(
+            f"IoU matrix shape {ious.shape} does not match "
+            f"{len(frame.preds)} predictions x {len(frame.gts)} ground truths"
+        )
+    rows = ious.tolist()
     order = sorted(range(len(frame.preds)), key=lambda i: -frame.preds[i].score)
     taken = [False] * len(frame.gts)
     flags = []
     for i in order:
         best_valid, best_valid_j = -1.0, -1
         best_ign, best_ign_j = -1.0, -1
-        for j in range(len(frame.gts)):
+        for j, v in enumerate(rows[i]):
             if taken[j]:
                 continue
-            v = iou_fn(i, j)
             if ignored[j]:
                 if v > best_ign:
                     best_ign, best_ign_j = v, j
@@ -257,7 +304,9 @@ def _match_frame(frame: EvalFrame, cfg: MatchConfig):
     return flags, int(len(frame.gts) - ignored.sum())
 
 
-def ap_r40_frames(frames: Sequence[EvalFrame], cfg: MatchConfig) -> EvalResult:
+def ap_r40_frames(
+    frames: Sequence[EvalFrame], cfg: MatchConfig, ious: Optional[Sequence[np.ndarray]] = None
+) -> EvalResult:
     """Average precision over a set of frames, one class.
 
     Matching is per frame; the (score, outcome) flags are pooled, ranked
@@ -265,12 +314,20 @@ def ap_r40_frames(frames: Sequence[EvalFrame], cfg: MatchConfig) -> EvalResult:
     recall >= r) at cfg.recall_points evenly spaced recall values.  AP is
     their mean, in percent.  Sharding by frame and merging flags gives
     exactly the sequential result.
+
+    `ious` holds each frame's :func:`iou_matrix` for cfg.metric.  Passing
+    it lets evaluations that differ only in gt_ignored, such as the
+    difficulty rows, share one IoU computation per frame.
     """
+    if ious is None:
+        ious = [iou_matrix(frame, cfg.metric) for frame in frames]
+    elif len(ious) != len(frames):
+        raise ValueError(f"got {len(ious)} IoU matrices for {len(frames)} frames")
     all_flags = []
     num_gt = 0
     num_preds = 0
-    for frame in frames:
-        flags, n_valid = _match_frame(frame, cfg)
+    for frame, frame_ious in zip(frames, ious):
+        flags, n_valid = _match_frame(frame, cfg, frame_ious)
         all_flags.extend(flags)
         num_gt += n_valid
         num_preds += len(frame.preds)
@@ -312,13 +369,11 @@ def ap_r40_frames(frames: Sequence[EvalFrame], cfg: MatchConfig) -> EvalResult:
             fp += 1
         curve.append((tp / num_gt, tp / (tp + fp)))
 
-    interp = []
-    for r in grid:
-        best = 0.0
-        for recall, precision in curve:
-            if recall >= r and precision > best:
-                best = precision
-        interp.append(best)
+    # Recall never decreases along the curve, so the points with recall >= r
+    # are a suffix of it: interpolate by the best precision of each suffix.
+    recalls = [recall for recall, _ in curve]
+    suffix_best = list(accumulate(reversed([p for _, p in curve]), max))[::-1] + [0.0]
+    interp = [suffix_best[bisect_left(recalls, r)] for r in grid]
     ap = 100.0 * sum(interp) / cfg.recall_points
     return EvalResult(
         ap=ap,
@@ -383,10 +438,8 @@ def height_histogram(preds: Sequence[Box3D], bin_width: float) -> HeightStats:
     first = math.floor(heights.min() / bin_width)
     last = math.floor(heights.max() / bin_width)
     edges = (np.arange(first, last + 2)) * bin_width
-    counts = np.zeros(last - first + 1, dtype=int)
     idx = np.floor(heights / bin_width).astype(int) - first
-    for i in idx:
-        counts[i] += 1
+    counts = np.bincount(idx, minlength=last - first + 1)
     return HeightStats(
         counts=counts,
         edges=edges,

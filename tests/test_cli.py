@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import fixtures
-from mono3dkit import dataio, kernels
+from mono3dkit import dataio, eval3d, kernels
 from mono3dkit.cli import main
 from mono3dkit.dataio import read_labels, write_labels
 from mono3dkit.kernels import LossReport
@@ -110,6 +111,48 @@ class TestPseudolabelCommand:
                 assert rec.h > 0
 
 
+def write_difficulty_fixture(root):
+    """Three frames of Car labels whose ground truths span every difficulty gate."""
+
+    def rec(x, z, yaw, height_px, occluded, truncated, score=None, dx=0.0, dz=0.0):
+        return dataio.KittiLabelRecord(
+            type="Car", truncated=truncated, occluded=occluded, alpha=0.0,
+            left=100.0, top=100.0, right=160.0, bottom=100.0 + height_px,
+            h=1.5, w=1.6, l=3.9, x=x + dx, y=1.6, z=z + dz, rotation_y=yaw, score=score,
+        )
+
+    # (x, z, yaw, bbox height px, occluded, truncated): easy, moderate, hard
+    # and outside every gate
+    frames = [
+        [(-6.0, 12.0, 0.1, 60.0, 0, 0.0), (0.0, 20.0, 1.2, 30.0, 1, 0.2),
+         (5.0, 30.0, -0.4, 28.0, 2, 0.45), (9.0, 15.0, 0.0, 18.0, 3, 0.8)],
+        [(-3.0, 9.0, 1.57, 45.0, 0, 0.1), (3.0, 9.5, 1.5, 26.0, 2, 0.3),
+         (0.5, 25.0, 0.3, 22.0, 1, 0.0)],
+        [(-8.0, 18.0, -1.0, 70.0, 0, 0.05), (-5.5, 19.0, -1.1, 35.0, 1, 0.25),
+         (4.0, 40.0, 0.0, 26.0, 2, 0.5), (8.0, 11.0, 0.7, 50.0, 0, 0.6)],
+    ]
+    # (gt index or None, dx, dz, score): near-misses, exact hits, and far
+    # false positives ranked among the true positives
+    preds = [
+        [(0, 0.1, 0.2, 0.95), (1, 0.3, -0.2, 0.6), (2, 0.0, 0.0, 0.4), (3, 0.1, 0.1, 0.85),
+         (None, 20.0, 50.0, 0.7)],
+        [(0, 0.5, 0.5, 0.9), (1, 0.05, 0.0, 0.75), (2, 1.5, 0.0, 0.3), (None, -15.0, 5.0, 0.8)],
+        [(0, 0.0, 0.1, 0.99), (1, 0.2, 0.3, 0.65), (1, 0.6, -0.1, 0.55), (3, 0.0, 0.0, 0.45),
+         (None, 0.0, 60.0, 0.5), (2, 2.5, 1.0, 0.2)],
+    ]
+    gt_dir, pred_dir = root / "gt", root / "pred"
+    gt_dir.mkdir()
+    pred_dir.mkdir()
+    for n, (gts, frame_preds) in enumerate(zip(frames, preds)):
+        dataio.write_labels([rec(*g) for g in gts], gt_dir / f"{n:06d}.txt")
+        pred_records = []
+        for j, dx, dz, score in frame_preds:
+            x, z, yaw = gts[j][:3] if j is not None else (0.0, 10.0, 0.0)
+            pred_records.append(rec(x, z, yaw, 40.0, 0, 0.0, score=score, dx=dx, dz=dz))
+        dataio.write_labels(pred_records, pred_dir / f"{n:06d}.txt")
+    return gt_dir, pred_dir
+
+
 class TestEvalCommand:
     def test_perfect_predictions_score_100_every_row(self, tmp_path, capsys):
         fixtures.build_scene(tmp_path, n_images=4, seed=12)
@@ -167,6 +210,37 @@ class TestEvalCommand:
         expected = (13 * 1.0 + 27 * 0.75) / 40 * 100.0
         assert payload["rows"]["all"]["ap"] == expected
         assert payload["rows"]["easy"]["ap"] == expected
+
+    def test_each_pair_iou_computed_once_across_difficulty_rows(self, tmp_path, monkeypatch):
+        gt_dir, pred_dir = write_difficulty_fixture(tmp_path)
+        calls = collections.Counter()
+        real = eval3d.iou3d
+
+        def counting_iou3d(a, b):
+            calls[id(a), id(b)] += 1
+            return real(a, b)
+
+        monkeypatch.setattr(eval3d, "iou3d", counting_iou3d)
+        report = tmp_path / "report.json"
+        code = main(["eval", "--pred", str(pred_dir), "--gt", str(gt_dir),
+                     "--class-name", "Car", "--metric", "3d", "--iou", "0.5",
+                     "--report", str(report)])
+        assert code == 0
+        assert calls
+        assert max(calls.values()) == 1
+        # the rows that per-row, per-pair IoU gave on this fixture before sharing
+        assert json.loads(report.read_text())["rows"] == {
+            "easy": {"ap": 65.0, "false_positives": 7, "ignored_predictions": 6,
+                     "matched": 2, "num_gt": 3, "num_predictions": 15},
+            "moderate": {"ap": 62.85714285714291, "false_positives": 7,
+                         "ignored_predictions": 4, "matched": 4, "num_gt": 5,
+                         "num_predictions": 15},
+            "hard": {"ap": 55.255681818181834, "false_positives": 7,
+                     "ignored_predictions": 2, "matched": 6, "num_gt": 8,
+                     "num_predictions": 15},
+            "all": {"ap": 53.76602564102566, "false_positives": 7, "ignored_predictions": 0,
+                    "matched": 8, "num_gt": 11, "num_predictions": 15},
+        }
 
     def test_nonexistent_dir_is_data_error(self, tmp_path):
         assert main(["eval", "--pred", str(tmp_path / "nope"), "--gt", str(tmp_path / "nope"),

@@ -14,6 +14,7 @@ from mono3dkit.eval3d import (
     box2d_iou,
     height_histogram,
     iou3d,
+    iou_matrix,
     matches_difficulty,
 )
 from mono3dkit.pseudolabel import Box3D
@@ -66,6 +67,17 @@ class TestBevIou:
         assert bev_iou(a, b) == pytest.approx(expected, rel=1e-9)
         ws = oracles.McWorkspace(n=1_000_000, seed=5)
         assert abs(bev_iou(a, b) - ws.bev_iou(a, b)) < 1e-3
+
+    def test_far_apart_boxes_with_nearly_collinear_edges(self):
+        # b's near edge lies within the clip tolerance of the line through
+        # a's far edge, almost parallel to it, with b 10 m away along that
+        # line; clipping must not extrapolate a sliver along the line
+        a = box(x=0.0, z=10.0, w=2.0, l=2.0)
+        for offset in (4.9e-10, 5e-10, 5.1e-10):
+            for yaw in (1e-12, 1e-11, 3e-11):
+                b = box(x=-10.0, z=12.0 + offset, w=2.0, l=2.0, yaw=yaw)
+                assert bev_iou(b, a) == 0.0
+                assert bev_iou(a, b) == 0.0
 
     def test_symmetry(self):
         rng = np.random.default_rng(31)
@@ -163,6 +175,101 @@ class TestBox2dIou:
 
     def test_half_overlap(self):
         assert box2d_iou((0, 0, 10, 10), (5, 0, 15, 10)) == pytest.approx(50 / 150)
+
+
+class TestIouMatrix:
+    """The prefiltered matrix equals the scalar IoU of every pair, bit for bit."""
+
+    @staticmethod
+    def assert_equals_scalar(preds, gts, pred_bboxes=None, gt_bboxes=None):
+        frame = EvalFrame(preds=preds, gts=gts, pred_bboxes=pred_bboxes, gt_bboxes=gt_bboxes)
+        shape = (len(preds), len(gts))
+        for metric, scalar, a, b in (
+            ("3d", iou3d, preds, gts),
+            ("bev", bev_iou, preds, gts),
+            ("bbox2d", box2d_iou, pred_bboxes, gt_bboxes),
+        ):
+            if a is None:
+                continue
+            expected = np.array([[scalar(p, g) for g in b] for p in a], dtype=float).reshape(shape)
+            assert np.array_equal(iou_matrix(frame, metric), expected), metric
+
+    @staticmethod
+    def diagonal_pair(l, w, scale, gap, x=0.0, z=10.0):
+        # two axis-aligned boxes of one shape whose corners touch along
+        # their shared diagonal when gap is 0: their centers lie exactly
+        # r_a + r_b + gap apart
+        a = box(x=x, z=z, l=l, w=w)
+        b = box(l=l * scale, w=w * scale)
+        ra, rb = 0.5 * math.hypot(a.l, a.w), 0.5 * math.hypot(b.l, b.w)
+        reach = ra + rb + gap
+        return a, box(x=x + a.l / (2.0 * ra) * reach, z=z + a.w / (2.0 * ra) * reach, l=b.l, w=b.w)
+
+    @staticmethod
+    def scene(rng, n, spread):
+        boxes = [
+            box(
+                x=float(rng.uniform(-spread, spread)),
+                y=float(rng.uniform(0, 2)),
+                z=float(rng.uniform(5, 5 + 2 * spread)),
+                h=float(rng.uniform(0.3, 2.5)),
+                w=float(rng.uniform(0.05, 3.0)),
+                l=float(rng.uniform(0.05, 5.0)),
+                yaw=float(rng.uniform(-math.pi, math.pi)),
+                score=float(rng.uniform(0, 1)),
+            )
+            for _ in range(n)
+        ]
+        left, top = rng.uniform(0, 200, size=(2, n))
+        right, bottom = left + rng.uniform(1, 80, n), top + rng.uniform(1, 80, n)
+        return boxes, np.stack([left, top, right, bottom], axis=1)
+
+    def test_random_scenes(self):
+        rng = np.random.default_rng(41)
+        for spread in (0.5, 2.0, 8.0, 30.0):
+            for _ in range(10):
+                preds, pred_bboxes = self.scene(rng, int(rng.integers(1, 12)), spread)
+                gts, gt_bboxes = self.scene(rng, int(rng.integers(1, 12)), spread)
+                self.assert_equals_scalar(preds, gts, pred_bboxes, gt_bboxes)
+
+    def test_edge_cases(self):
+        base = box(x=1.0, z=12.0, w=1.6, l=3.9, yaw=0.4)
+        cases = [
+            ("identical", base, base),
+            ("nested", base, box(x=1.2, z=12.1, h=1.0, w=0.5, l=1.0, yaw=0.9)),
+            ("edge-touching", box(x=0.0, l=2.0, w=1.0), box(x=2.0, l=2.0, w=1.0)),
+            ("corner-touching", box(x=0.0, z=10.0, l=2.0, w=1.0), box(x=2.0, z=11.0, l=2.0, w=1.0)),
+            ("stacked", box(y=1.0, h=1.0), box(y=2.5, h=1.5)),
+            ("vertical gap", box(y=1.0, h=1.0), box(y=3.0, h=1.0)),
+            ("far apart, nearly collinear edges",
+             box(x=0.0, z=10.0, w=2.0, l=2.0), box(x=-10.0, z=12.0 + 5e-10, w=2.0, l=2.0, yaw=1e-11)),
+        ]
+        for gap in (0.0, 1e-9, -1e-9, -1e-4):
+            cases.append((f"squares {gap:+g} apart", *self.diagonal_pair(2.0, 2.0, 1.0, gap)))
+            cases.append((f"rectangles {gap:+g} apart", *self.diagonal_pair(4.0, 1.5, 0.7, gap)))
+            cases.append(
+                (f"far rectangles {gap:+g} apart", *self.diagonal_pair(4.0, 1.5, 0.7, gap, x=1e6, z=1e6))
+            )
+        for name, a, b in cases:
+            for preds, gts in (([a], [b]), ([b], [a]), ([a, b], [b, a])):
+                try:
+                    self.assert_equals_scalar(preds, gts)
+                except AssertionError as exc:
+                    raise AssertionError(f"{name}: {exc}") from None
+
+    def test_empty_frames(self):
+        assert iou_matrix(EvalFrame(preds=[], gts=[box()]), "3d").shape == (0, 1)
+        assert iou_matrix(EvalFrame(preds=[box()], gts=[]), "bev").shape == (1, 0)
+
+    def test_shared_matrices_checked_against_frames(self):
+        frame = EvalFrame(preds=[box()], gts=[box(), box(x=5.0)])
+        cfg = MatchConfig(iou_threshold=0.5, metric="bev")
+        shared = [iou_matrix(frame, "bev")]
+        assert ap_r40_frames([frame], cfg, shared).ap == ap_r40_frames([frame], cfg).ap
+        with pytest.raises(ValueError):
+            ap_r40_frames([frame, frame], cfg, shared)
+        with pytest.raises(ValueError):
+            ap_r40_frames([frame], cfg, [shared[0].T])
 
 
 class TestApR40:
@@ -268,6 +375,30 @@ class TestApR40:
         single = ap_r40(frames[0].preds, frames[0].gts, self.CFG)
         assert ap_r40_frames(frames[:1], self.CFG).ap == single.ap
 
+    def test_interpolation_equals_pointwise_scan(self):
+        rng = np.random.default_rng(42)
+        for _ in range(20):
+            frames = []
+            for _ in range(3):
+                n_gt = int(rng.integers(1, 5))
+                frames.append(
+                    EvalFrame(
+                        preds=[random_box(rng) for _ in range(int(rng.integers(0, 8)))],
+                        gts=[random_box(rng) for _ in range(n_gt)],
+                        gt_ignored=rng.random(n_gt) < 0.3,
+                    )
+                )
+            result = ap_r40_frames(frames, MatchConfig(iou_threshold=0.1, metric="bev"))
+            expected = []
+            for r in result.recall_grid:
+                best = 0.0
+                for recall, precision in result.curve:
+                    if recall >= r and precision > best:
+                        best = precision
+                expected.append(best)
+            assert result.interpolated_precision == expected
+            assert result.ap == 100.0 * sum(expected) / 40
+
     def test_mixed_classes_rejected(self):
         with pytest.raises(ValueError):
             ap_r40([box(cls="Car")], [box(cls="Pedestrian")], self.CFG)
@@ -333,6 +464,17 @@ class TestHeightHistogram:
         assert np.array_equal(stats.edges, again.edges)
         # 1.1 sits on an edge and belongs to the upper bin
         assert stats.counts.tolist() == [2, 2]
+
+    def test_counts_equal_per_box_loop(self):
+        rng = np.random.default_rng(43)
+        for bin_width in (0.05, 0.1, 0.37):
+            boxes = [box(h=float(h)) for h in rng.uniform(0.4, 2.6, size=200)]
+            stats = height_histogram(boxes, bin_width=bin_width)
+            first = math.floor(min(b.h for b in boxes) / bin_width)
+            expected = [0] * len(stats.counts)
+            for b in boxes:
+                expected[math.floor(b.h / bin_width) - first] += 1
+            assert stats.counts.tolist() == expected
 
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyInputError):

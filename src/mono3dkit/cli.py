@@ -15,8 +15,7 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,11 +36,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _wrap_angle(angle: float) -> float:
-    wrapped = math.remainder(angle, math.tau)
-    if wrapped <= -math.pi:
-        wrapped += math.tau
-    return wrapped
+def _alpha(rotation_y: float, x: float, z: float) -> float:
+    """KITTI observation angle of a box at (x, z) with yaw `rotation_y`."""
+    return geometry.wrap_angle(rotation_y - math.atan2(x, z))
 
 
 def _echo(lines, header="config"):
@@ -56,17 +53,17 @@ def _echo(lines, header="config"):
 def _load_pipeline_config(args) -> PipelineConfig:
     cfg = load_config(args.config) if args.config else PipelineConfig()
     overrides = {}
-    for flag, key in (
-        ("score_threshold", "score_threshold"),
-        ("virtual_focal", "virtual_focal"),
-        ("virtual_width", "virtual_width"),
-        ("virtual_height", "virtual_height"),
-        ("depth_window", "depth_window"),
-        ("fallback_grid", "fallback_grid"),
-        ("clamp_alpha", "clamp_alpha"),
-        ("clamp_beta", "clamp_beta"),
+    for key in (
+        "score_threshold",
+        "virtual_focal",
+        "virtual_width",
+        "virtual_height",
+        "depth_window",
+        "fallback_grid",
+        "clamp_alpha",
+        "clamp_beta",
     ):
-        value = getattr(args, flag, None)
+        value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value
     return replace(cfg, **overrides) if overrides else cfg
@@ -90,7 +87,7 @@ def _label_record(entry: pseudolabel.PseudoLabel, sx: float, sy: float) -> datai
         type=box.class_id,
         truncated=0.0,
         occluded=0,
-        alpha=_wrap_angle(box.yaw - math.atan2(box.x, box.z)),
+        alpha=_alpha(box.yaw, box.x, box.z),
         left=det.left * sx,
         top=det.top * sy,
         right=det.right * sx,
@@ -120,47 +117,36 @@ def cmd_pseudolabel(args) -> int:
     spec = cfg.virtual_camera()
     prior = cfg.dimension_prior()
 
-    def process(image_id):
-        depth_path = depth_dir / f"{image_id}.dpr"
-        calib_path = calib_dir / f"{image_id}.txt"
-        if not depth_path.is_file():
-            raise DataIOError(f"image {image_id!r}: missing depth raster {depth_path}")
-        if not calib_path.is_file():
-            raise DataIOError(f"image {image_id!r}: missing calibration {calib_path}")
-        depth = dataio.read_depth(depth_path)
-        intr = dataio.read_calib(calib_path).intrinsics(depth.width, depth.height)
-        entries = images[image_id]
-        dets = [e.detection for e in entries]
-        yaws = [0.0 if e.yaw is None else e.yaw for e in entries]
-        result = pseudolabel.generate_pseudo_labels(
-            dets,
-            depth,
-            yaws,
-            intr,
-            spec,
-            prior,
-            score_threshold=cfg.score_threshold,
-            depth_window=cfg.depth_window,
-            fallback_grid=cfg.fallback_grid,
-        )
-        vintr = geometry.make_virtual_intrinsics(intr, spec)
-        records = [_label_record(e, vintr.sx, vintr.sy) for e in result.labels]
-        return records, result.diagnostics
-
     totals = pseudolabel.LabelingDiagnostics()
     written = []
     try:
-        with ThreadPoolExecutor(max_workers=max(1, args.workers)) as pool:
-            for image_id, (records, diag) in zip(image_ids, pool.map(process, image_ids)):
-                out_path = out_dir / f"{image_id}.txt"
-                dataio.write_labels(records, out_path)
-                written.append(out_path)
-                totals.n_detections += diag.n_detections
-                totals.n_below_threshold += diag.n_below_threshold
-                totals.n_no_depth += diag.n_no_depth
-                totals.n_no_prior += diag.n_no_prior
-                totals.n_conflict += diag.n_conflict
-                totals.n_emitted += diag.n_emitted
+        for image_id in image_ids:
+            depth_path = depth_dir / f"{image_id}.dpr"
+            calib_path = calib_dir / f"{image_id}.txt"
+            if not depth_path.is_file():
+                raise DataIOError(f"image {image_id!r}: missing depth raster {depth_path}")
+            if not calib_path.is_file():
+                raise DataIOError(f"image {image_id!r}: missing calibration {calib_path}")
+            depth = dataio.read_depth(depth_path)
+            intr = dataio.read_calib(calib_path).intrinsics(depth.width, depth.height)
+            entries = images[image_id]
+            result = pseudolabel.generate_pseudo_labels(
+                [e.detection for e in entries],
+                depth,
+                [0.0 if e.yaw is None else e.yaw for e in entries],
+                intr,
+                spec,
+                prior,
+                score_threshold=cfg.score_threshold,
+                depth_window=cfg.depth_window,
+                fallback_grid=cfg.fallback_grid,
+            )
+            vintr = geometry.make_virtual_intrinsics(intr, spec)
+            out_path = out_dir / f"{image_id}.txt"
+            dataio.write_labels([_label_record(e, vintr.sx, vintr.sy) for e in result.labels], out_path)
+            written.append(out_path)
+            for f in fields(totals):
+                setattr(totals, f.name, getattr(totals, f.name) + getattr(result.diagnostics, f.name))
     except Exception:
         for path in written:
             path.unlink(missing_ok=True)
@@ -415,7 +401,7 @@ def _transform_record(rec, intr, spec, vintr, invert):
         x=point.x,
         y=point.y,
         z=point.z,
-        alpha=_wrap_angle(rec.rotation_y - math.atan2(point.x, point.z)),
+        alpha=_alpha(rec.rotation_y, point.x, point.z),
     )
 
 
@@ -470,7 +456,7 @@ def build_parser() -> _Parser:
     p.add_argument("--calib", required=True, help="directory of <image>.txt calibration files")
     p.add_argument("--out", required=True, help="output label directory")
     p.add_argument("--config", default=None, help="key = value config file")
-    p.add_argument("--workers", type=int, default=1, help="worker pool size")
+    p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; has no effect")
     p.add_argument("--score-threshold", dest="score_threshold", type=float, default=None)
     p.add_argument("--virtual-focal", dest="virtual_focal", type=float, default=None)
     p.add_argument("--virtual-width", dest="virtual_width", type=int, default=None)
@@ -514,9 +500,9 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--image-width", dest="image_width", type=int, required=True)
     p.add_argument("--image-height", dest="image_height", type=int, required=True)
-    p.add_argument("--focal", type=float, default=900.0)
-    p.add_argument("--width", type=int, default=1274)
-    p.add_argument("--height", type=int, default=644)
+    p.add_argument("--focal", type=float, default=PipelineConfig.virtual_focal)
+    p.add_argument("--width", type=int, default=PipelineConfig.virtual_width)
+    p.add_argument("--height", type=int, default=PipelineConfig.virtual_height)
     p.add_argument("--invert", action="store_true", help="convert virtual-space labels back")
     p.set_defaults(func=cmd_normalize)
 

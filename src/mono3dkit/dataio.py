@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -199,8 +200,9 @@ def read_depth(path) -> DepthRaster:
     payload = len(blob) - header
     if payload != expected:
         raise DataIOError(f"{path}: payload is {payload} bytes, expected {expected} for {width}x{height}")
+    # A read-only view of the payload; sample_depth decides validity per window.
     values = np.frombuffer(blob, dtype="<f4", count=width * height, offset=header)
-    return DepthRaster.from_values(values.reshape(height, width).astype(np.float64))
+    return DepthRaster(values=values.reshape(height, width))
 
 
 def write_depth(values, path) -> None:
@@ -232,6 +234,13 @@ class DetectionFile:
     images: Dict[str, List[DetectionEntry]]
 
 
+def _finite_number(value, path, lineno, what: str) -> float:
+    """A JSON number as a float; bools, strings, lists, NaN and values beyond the float range are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ParseError(f"{what} must be a finite number, got {value!r}", path=path, line=lineno)
+    return float(value)
+
+
 def _parse_detection_obj(obj, path, lineno) -> DetectionEntry:
     if not isinstance(obj, dict):
         raise ParseError("detection must be a JSON object", path=path, line=lineno)
@@ -244,17 +253,17 @@ def _parse_detection_obj(obj, path, lineno) -> DetectionEntry:
     bbox = obj["bbox"]
     if not (isinstance(bbox, list) and len(bbox) == 4):
         raise ParseError("bbox must be [left, top, right, bottom]", path=path, line=lineno)
-    left, top, right, bottom = (float(v) for v in bbox)
+    left, top, right, bottom = (_finite_number(v, path, lineno, "bbox edge") for v in bbox)
     if not (left < right and top < bottom):
         raise ParseError(f"bbox edges out of order: {bbox}", path=path, line=lineno)
-    score = float(obj["score"])
+    score = _finite_number(obj["score"], path, lineno, "score")
     if not (0.0 <= score <= 1.0):
         raise ParseError(f"score {score} outside [0, 1]", path=path, line=lineno)
     det = Detection2D(
         class_id=str(obj["class"]), left=left, top=top, right=right, bottom=bottom, score=score
     )
     yaw = obj.get("yaw")
-    return DetectionEntry(detection=det, yaw=None if yaw is None else float(yaw))
+    return DetectionEntry(detection=det, yaw=None if yaw is None else _finite_number(yaw, path, lineno, "yaw"))
 
 
 def read_detections(path) -> DetectionFile:

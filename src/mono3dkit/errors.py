@@ -13,8 +13,8 @@ class NonPositiveDepthError(PipelineError, ValueError):
     """An operation that requires depth > 0 received a non-positive depth."""
 
 
-class NoValidDepthError(PipelineError):
-    """No valid depth pixel inside the sampling window."""
+class NoValidDepthError(PipelineError, ValueError):
+    """No valid depth pixel inside the sampling window, or the point is off the raster."""
 
 
 class MisalignedInputsError(PipelineError, ValueError):

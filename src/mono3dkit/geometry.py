@@ -35,6 +35,7 @@ __all__ = [
     "sample_viewpoint",
     "rotation_matrix",
     "rotate_point",
+    "wrap_angle",
 ]
 
 
@@ -46,6 +47,14 @@ def _scalar_or_array(x):
 def _check_depth(z):
     if np.any(np.asarray(z) <= 0):
         raise NonPositiveDepthError("depth must be > 0")
+
+
+def wrap_angle(angle: float) -> float:
+    """`angle` in radians, wrapped into (-pi, pi]."""
+    wrapped = math.remainder(angle, math.tau)
+    if wrapped <= -math.pi:
+        wrapped += math.tau
+    return wrapped
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import geometry
 from .errors import MisalignedInputsError, NonPositiveDepthError, NoValidDepthError
-from .geometry import CameraIntrinsics, VirtualCameraSpec
+from .geometry import CameraIntrinsics, VirtualCameraSpec, wrap_angle
 
 __all__ = [
     "Detection2D",
@@ -78,40 +78,34 @@ class OrientationEstimate:
     def __post_init__(self):
         if not math.isfinite(self.yaw):
             raise ValueError(f"yaw must be finite, got {self.yaw}")
-        wrapped = math.remainder(self.yaw, math.tau)
-        if wrapped <= -math.pi:
-            wrapped += math.tau
-        object.__setattr__(self, "yaw", wrapped)
+        object.__setattr__(self, "yaw", wrap_angle(self.yaw))
 
 
 @dataclass(frozen=True)
 class DepthRaster:
-    """Row-major metric depth map with a per-pixel validity mask."""
+    """Row-major metric depth map; a pixel is valid iff it is finite and > 0."""
 
     values: np.ndarray
-    valid: np.ndarray
 
     def __post_init__(self):
-        if self.values.ndim != 2 or self.values.shape != self.valid.shape:
-            raise ValueError(f"values {self.values.shape} / valid {self.valid.shape} must be equal 2-d shapes")
-        masked = self.values[self.valid]
-        if masked.size and (not np.all(np.isfinite(masked)) or np.any(masked <= 0)):
-            raise ValueError("valid pixels must be finite and > 0")
+        if self.values.ndim != 2:
+            raise ValueError(f"values must be 2-d, got shape {self.values.shape}")
 
     @classmethod
     def from_values(cls, values, valid=None) -> "DepthRaster":
-        """Build a raster, deriving validity from the values.
+        """Build a float64 raster; an explicit `valid` mask only narrows validity.
 
-        A pixel is valid iff it is finite and > 0; an explicit mask only
-        narrows that.
+        Pixels where `valid` is False are stored as NaN.
         """
         arr = np.array(values, dtype=np.float64)
-        mask = np.isfinite(arr) & (arr > 0)
         if valid is not None:
-            mask &= np.asarray(valid, dtype=bool)
+            arr[~np.broadcast_to(np.asarray(valid, dtype=bool), arr.shape)] = np.nan
         arr.setflags(write=False)
-        mask.setflags(write=False)
-        return cls(values=arr, valid=mask)
+        return cls(values=arr)
+
+    @property
+    def valid(self) -> np.ndarray:
+        return np.isfinite(self.values) & (self.values > 0)
 
     @property
     def width(self) -> int:
@@ -229,22 +223,24 @@ def sample_depth(raster: DepthRaster, u: float, v: float, window: int = 5) -> fl
     """Median of the valid depths in a window x window patch around (u, v).
 
     The median is robust against depth bleeding across object silhouettes.
-    Raises :class:`NoValidDepthError` when the patch holds no valid pixel.
+    Raises :class:`NoValidDepthError` when (u, v) is off the raster or the
+    patch holds no valid pixel.
     """
     if window < 1 or window % 2 == 0:
         raise ValueError(f"window must be odd and >= 1, got {window}")
     col = int(round(float(u)))
     row = int(round(float(v)))
     if not (0 <= col < raster.width and 0 <= row < raster.height):
-        raise ValueError(f"point ({u}, {v}) outside raster {raster.width}x{raster.height}")
+        raise NoValidDepthError(f"point ({u}, {v}) outside raster {raster.width}x{raster.height}")
     r = window // 2
     r0, r1 = max(0, row - r), min(raster.height, row + r + 1)
     c0, c1 = max(0, col - r), min(raster.width, col + r + 1)
-    patch = raster.values[r0:r1, c0:c1]
-    mask = raster.valid[r0:r1, c0:c1]
-    if not mask.any():
+    # Upcasting the window is exact, so medians match a float64 raster's.
+    patch = raster.values[r0:r1, c0:c1].astype(np.float64)
+    patch = patch[np.isfinite(patch) & (patch > 0)]
+    if not patch.size:
         raise NoValidDepthError(f"no valid depth in {window}x{window} patch at ({col}, {row})")
-    return float(np.median(patch[mask]))
+    return float(np.median(patch))
 
 
 def estimate_dimensions(
@@ -353,10 +349,6 @@ def generate_pseudo_labels(
         point = select_projection_point(det, others, grid=fallback_grid)
         if point.conflict:
             diag.n_conflict += 1
-        col, row = int(round(point.u)), int(round(point.v))
-        if not (0 <= col < depth.width and 0 <= row < depth.height):
-            diag.n_no_depth += 1
-            continue
         try:
             z = sample_depth(depth, point.u, point.v, window=depth_window)
         except NoValidDepthError:

@@ -7,7 +7,8 @@ import pytest
 
 import fixtures
 from mono3dkit import dataio, eval3d, kernels
-from mono3dkit.cli import main
+from mono3dkit.cli import build_parser, main
+from mono3dkit.config import PipelineConfig
 from mono3dkit.dataio import read_labels, write_labels
 from mono3dkit.kernels import LossReport
 
@@ -99,6 +100,35 @@ class TestPseudolabelCommand:
             assert run_pseudolabel(tmp_path, out, extra=("--workers", workers)) == 0
             outs.append(dir_bytes(out))
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            '{"class": "Car", "bbox": [null, 20, 60, 90], "score": 0.5}',
+            '{"class": "Car", "bbox": [10, 20, 60, 90], "score": [1]}',
+            '{"class": "Car", "bbox": [-Infinity, 20, 60, 90], "score": 0.5}',
+            '{"class": "Car", "bbox": [10, 20, Infinity, 90], "score": 0.5}',
+            '{"class": "Car", "bbox": [10, 20, 1e400, 90], "score": 0.5}',
+            '{"class": "Car", "bbox": [10, 20, 1' + "0" * 400 + ', 90], "score": 0.5}',
+            '{"class": "Car", "bbox": ["10", 20, 60, 90], "score": 0.5}',
+            '{"class": "Car", "bbox": [10, 20, 60, 90], "score": "0.5"}',
+            '{"class": "Car", "bbox": [10, 20, 60, 90], "score": true}',
+            '{"class": "Car", "bbox": [10, 20, 60, 90], "score": NaN}',
+            '{"class": "Car", "bbox": [10, 20, 60, 90], "score": 0.5, "yaw": NaN}',
+            '{"class": "Car", "bbox": [10, 20, 60, 90], "score": 0.5, "yaw": "0.1"}',
+        ],
+        ids=[
+            "null-edge", "list-score", "minus-inf-edge", "inf-edge", "overflow-edge", "huge-int-edge",
+            "string-edge", "string-score", "bool-score", "nan-score", "nan-yaw", "string-yaw",
+        ],
+    )
+    def test_malformed_detection_is_data_error_with_line(self, tmp_path, capsys, obj):
+        fixtures.build_scene(tmp_path, n_images=1, seed=12)
+        path = tmp_path / "detections" / "scene.jsonl"
+        header = json.dumps({"schema": dataio.DETECTION_SCHEMA, "version": dataio.DETECTION_VERSION})
+        path.write_text(f'{header}\n{{"image": "000000", "detections": [{obj}]}}\n')
+        assert run_pseudolabel(tmp_path, tmp_path / "out") == 2
+        assert f"{path}:2:" in capsys.readouterr().err
 
     def test_labels_parse_back(self, tmp_path):
         fixtures.build_scene(tmp_path, n_images=2, seed=11)
@@ -415,6 +445,18 @@ class TestNormalizeCommand:
         assert main(["normalize", "--labels", str(labels), "--calib", str(calib),
                      "--out", str(tmp_path / "o"), "--image-width", "640",
                      "--image-height", "480"]) == 2
+
+
+class TestParserDefaults:
+    def test_normalize_camera_defaults_come_from_pipeline_config(self):
+        args = build_parser().parse_args(
+            ["normalize", "--labels", "l", "--calib", "c", "--out", "o",
+             "--image-width", "640", "--image-height", "480"]
+        )
+        cfg = PipelineConfig()
+        assert (args.focal, args.width, args.height) == (
+            cfg.virtual_focal, cfg.virtual_width, cfg.virtual_height
+        )
 
 
 class TestUsage:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,23 @@ class TestDepth:
         assert not raster.valid[1, 2] and not raster.valid[0, 0]
         assert raster.valid.sum() == 10
         assert raster.values[2, 3] == np.float32(11.5)
+
+    def test_values_are_a_read_only_float32_view(self, tmp_path):
+        path = tmp_path / "d.dpr"
+        values = np.random.default_rng(3).uniform(1.0, 80.0, size=(375, 1242))
+        write_depth(values, path)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            raster = read_depth(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert raster.values.dtype == np.float32
+        assert not raster.values.flags.owndata and not raster.values.flags.writeable
+        # the file's bytes plus small change; a float64 copy alone would be 2x the file
+        assert peak < 1.1 * size
+        np.testing.assert_array_equal(raster.values, values.astype(np.float32))
 
     def test_truncated_payload_rejected_before_allocation(self, tmp_path):
         path = tmp_path / "d.dpr"

@@ -155,6 +155,40 @@ class TestSampleDepth:
         with pytest.raises(ValueError):
             sample_depth(raster, 10, 2, window=3)
 
+    def test_point_outside_raster_is_no_valid_depth(self):
+        raster = DepthRaster.from_values(np.ones((5, 5)))
+        for u, v in ((10, 2), (2, -1), (-0.6, 2), (2, 4.6)):
+            with pytest.raises(NoValidDepthError):
+                sample_depth(raster, u, v, window=3)
+
+    def test_narrowed_pixels_skipped(self):
+        values = np.full((5, 5), 4.0)
+        values[2, 2] = 50.0
+        valid = np.ones((5, 5), dtype=bool)
+        valid[1:4, 1:3] = False  # hides 50.0 and five 4.0s, leaving three 4.0s
+        raster = DepthRaster.from_values(values, valid=valid)
+        assert sample_depth(raster, 2, 2, window=3) == 4.0
+        assert DepthRaster.from_values(values).valid.all()
+        assert sample_depth(DepthRaster.from_values(values), 2, 2, window=1) == 50.0
+        with pytest.raises(NoValidDepthError):
+            sample_depth(raster, 2, 2, window=1)
+
+    def test_even_count_median_on_float32_raster_is_upcast_median(self):
+        window = np.array([[7.1, np.nan, 7.3], [0.0, 9.0, -1.0], [np.inf, 12.7, np.nan]], dtype=np.float32)
+        upcast = window[np.isfinite(window) & (window > 0)].astype(np.float64)
+        assert upcast.size == 4
+        # float32 arithmetic would round the mean of the middle pair differently
+        assert float(np.median(upcast.astype(np.float32))) != float(np.median(upcast))
+        values = np.full((7, 7), np.nan, dtype=np.float32)
+        values[2:5, 2:5] = window
+        raster = DepthRaster(values=values)
+        assert raster.values.dtype == np.float32
+        assert sample_depth(raster, 3, 3, window=3) == float(np.median(upcast))
+
+    def test_raster_must_be_2d(self):
+        with pytest.raises(ValueError):
+            DepthRaster(values=np.ones(4))
+
 
 class TestEstimateDimensions:
     def test_height_from_projective_relation(self):

@@ -141,7 +141,7 @@ def cmd_pseudolabel(args) -> int:
                 depth_window=cfg.depth_window,
                 fallback_grid=cfg.fallback_grid,
             )
-            vintr = geometry.make_virtual_intrinsics(intr, spec)
+            vintr = result.virtual_intrinsics
             out_path = out_dir / f"{image_id}.txt"
             dataio.write_labels([_label_record(e, vintr.sx, vintr.sy) for e in result.labels], out_path)
             written.append(out_path)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import geometry
 from .errors import MisalignedInputsError, NonPositiveDepthError, NoValidDepthError
-from .geometry import CameraIntrinsics, VirtualCameraSpec, wrap_angle
+from .geometry import CameraIntrinsics, VirtualCameraSpec, VirtualIntrinsics, wrap_angle
 
 __all__ = [
     "Detection2D",
@@ -63,10 +63,6 @@ class Detection2D:
     @property
     def center(self):
         return (self.left + self.right) / 2.0, (self.top + self.bottom) / 2.0
-
-    def contains(self, u: float, v: float) -> bool:
-        """Strict interior test (boundary does not count)."""
-        return self.left < u < self.right and self.top < v < self.bottom
 
 
 @dataclass(frozen=True)
@@ -193,29 +189,42 @@ class ProjectionPoint:
     conflict: bool = False
 
 
+def _edge_array(dets: Sequence[Detection2D]) -> np.ndarray:
+    """(N, 4) float64 rows of (left, top, right, bottom)."""
+    return np.array([(d.left, d.top, d.right, d.bottom) for d in dets], dtype=np.float64).reshape(-1, 4)
+
+
 def select_projection_point(
-    det: Detection2D, others: Sequence[Detection2D], grid: int = 5
+    det: Detection2D, others: Sequence[Detection2D] | np.ndarray, grid: int = 5
 ) -> ProjectionPoint:
     """Pick the pixel whose back-projection will anchor the 3D box.
 
-    The bbox center is used unless it lies strictly inside another
-    detection.  In that case the central-quarter region (half width/height
-    box around the center) is scanned on a grid x grid lattice in raster
-    order, and the first point inside no other detection wins.  If every
-    candidate is occluded the center is returned with the conflict flag
-    set; the caller decides what to do with it.
+    `others` holds the occluders, as a sequence of :class:`Detection2D` or
+    as an (M, 4) float array of (left, top, right, bottom) rows.  The bbox
+    center is used unless it lies strictly inside (boundary does not count)
+    another detection.  In that case the central-quarter region (half
+    width/height box around the center) is scanned on a grid x grid lattice
+    in raster order, and the first point inside no other detection wins.
+    If every candidate is occluded the center is returned with the conflict
+    flag set; the caller decides what to do with it.
     """
+    if not isinstance(others, np.ndarray):
+        others = _edge_array(others)
+    left, top, right, bottom = others.T
     cu, cv = det.center
-    if not any(o.contains(cu, cv) for o in others):
+    if not ((left < cu) & (cu < right) & (top < cv) & (cv < bottom)).any():
         return ProjectionPoint(cu, cv)
     half_w = (det.right - det.left) / 4.0
     half_h = (det.bottom - det.top) / 4.0
     us = np.linspace(cu - half_w, cu + half_w, grid)
     vs = np.linspace(cv - half_h, cv + half_h, grid)
-    for v in vs:
-        for u in us:
-            if not any(o.contains(u, v) for o in others):
-                return ProjectionPoint(float(u), float(v))
+    in_u = (left[:, None] < us) & (us < right[:, None])
+    in_v = (top[:, None] < vs) & (vs < bottom[:, None])
+    # Boolean matmul: occluded[v, u] is true iff some occluder holds both.
+    clear = np.flatnonzero(~(in_v.T @ in_u))
+    if clear.size:
+        row, col = divmod(int(clear[0]), grid)
+        return ProjectionPoint(float(us[col]), float(vs[row]))
     return ProjectionPoint(cu, cv, conflict=True)
 
 
@@ -223,11 +232,15 @@ def sample_depth(raster: DepthRaster, u: float, v: float, window: int = 5) -> fl
     """Median of the valid depths in a window x window patch around (u, v).
 
     The median is robust against depth bleeding across object silhouettes.
-    Raises :class:`NoValidDepthError` when (u, v) is off the raster or the
-    patch holds no valid pixel.
+    It is exact: the window is read as float64 and, for an even count of
+    valid pixels, the two middle values are averaged, as `np.median` does.
+    Raises :class:`NoValidDepthError` when (u, v) is not finite, is off the
+    raster, or the patch holds no valid pixel.
     """
     if window < 1 or window % 2 == 0:
         raise ValueError(f"window must be odd and >= 1, got {window}")
+    if not (math.isfinite(u) and math.isfinite(v)):
+        raise NoValidDepthError(f"point ({u}, {v}) is not finite")
     col = int(round(float(u)))
     row = int(round(float(v)))
     if not (0 <= col < raster.width and 0 <= row < raster.height):
@@ -235,12 +248,12 @@ def sample_depth(raster: DepthRaster, u: float, v: float, window: int = 5) -> fl
     r = window // 2
     r0, r1 = max(0, row - r), min(raster.height, row + r + 1)
     c0, c1 = max(0, col - r), min(raster.width, col + r + 1)
-    # Upcasting the window is exact, so medians match a float64 raster's.
-    patch = raster.values[r0:r1, c0:c1].astype(np.float64)
-    patch = patch[np.isfinite(patch) & (patch > 0)]
-    if not patch.size:
+    # tolist() upcasts float32 to float64 exactly; NaN fails the range test.
+    depths = sorted(x for x in raster.values[r0:r1, c0:c1].ravel().tolist() if 0 < x < math.inf)
+    if not depths:
         raise NoValidDepthError(f"no valid depth in {window}x{window} patch at ({col}, {row})")
-    return float(np.median(patch))
+    mid = len(depths) // 2
+    return float(depths[mid] if len(depths) % 2 else (depths[mid - 1] + depths[mid]) / 2)
 
 
 def estimate_dimensions(
@@ -296,6 +309,7 @@ class LabelingDiagnostics:
 class LabelingResult:
     labels: list = field(default_factory=list)
     diagnostics: LabelingDiagnostics = field(default_factory=LabelingDiagnostics)
+    virtual_intrinsics: Optional[VirtualIntrinsics] = None
 
     @property
     def boxes(self):
@@ -323,7 +337,8 @@ def generate_pseudo_labels(
     Detections whose point has no valid depth, falls off the raster, or
     whose class has no prior are dropped and counted.  Output is sorted by
     descending score (ties keep input order); identical inputs produce
-    bit-identical output.
+    bit-identical output.  The result also carries the virtual intrinsics
+    the boxes were lifted with.
 
     `yaws` is index-aligned with `dets` and may hold floats or
     :class:`OrientationEstimate` values.
@@ -343,9 +358,10 @@ def generate_pseudo_labels(
             diag.n_below_threshold += 1
 
     vintr = geometry.make_virtual_intrinsics(intr, spec)
+    edges = _edge_array([d for d, _ in kept])
     labels = []
     for idx, (det, yaw) in enumerate(kept):
-        others = [d for j, (d, _) in enumerate(kept) if j != idx]
+        others = np.concatenate((edges[:idx], edges[idx + 1 :]))
         point = select_projection_point(det, others, grid=fallback_grid)
         if point.conflict:
             diag.n_conflict += 1
@@ -375,4 +391,4 @@ def generate_pseudo_labels(
 
     labels.sort(key=lambda entry: -entry.box.score)
     diag.n_emitted = len(labels)
-    return LabelingResult(labels=labels, diagnostics=diag)
+    return LabelingResult(labels=labels, diagnostics=diag, virtual_intrinsics=vintr)

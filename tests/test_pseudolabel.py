@@ -33,6 +33,37 @@ def det(left, top, right, bottom, score=0.9, cls="Pedestrian"):
     return Detection2D(class_id=cls, left=left, top=top, right=right, bottom=bottom, score=score)
 
 
+def scalar_projection_point(subject, others, grid):
+    """Reference: the scalar raster-order scan, one strict-interior test per occluder and point."""
+
+    def inside(o, u, v):
+        return o.left < u < o.right and o.top < v < o.bottom
+
+    cu, cv = subject.center
+    if not any(inside(o, cu, cv) for o in others):
+        return cu, cv, False
+    half_w = (subject.right - subject.left) / 4.0
+    half_h = (subject.bottom - subject.top) / 4.0
+    for v in np.linspace(cv - half_h, cv + half_h, grid):
+        for u in np.linspace(cu - half_w, cu + half_w, grid):
+            if not any(inside(o, u, v) for o in others):
+                return float(u), float(v), False
+    return cu, cv, True
+
+
+def crowded_scene(rng, n):
+    """n boxes with edges on multiples of 4 px and sides of 8k px, so edges, centers and
+    grid points often coincide; about 10 % are twins of another box."""
+    left = rng.integers(0, n, n) * 4.0
+    top = rng.integers(0, 75, n) * 4.0
+    width = rng.integers(1, 8, n) * 8.0
+    height = rng.integers(1, 8, n) * 8.0
+    boxes = [det(l, t, l + w, t + h) for l, t, w, h in zip(left, top, width, height)]
+    for i in rng.choice(n, n // 10, replace=False):
+        boxes[i] = boxes[int(rng.integers(n))]
+    return boxes
+
+
 class TestDomainTypes:
     def test_bbox_order_enforced(self):
         with pytest.raises(ValueError):
@@ -122,6 +153,35 @@ class TestSelectProjectionPoint:
         point = select_projection_point(subject, [neighbor])
         assert (point.u, point.v, point.conflict) == (50.0, 50.0, False)
 
+    def test_array_test_equals_scalar_scan(self):
+        rng = np.random.default_rng(40)
+        outcomes = {"center": 0, "grid": 0, "conflict": 0}
+        for n in (50, 120, 250, 400):
+            scene = crowded_scene(rng, n)
+            for i in rng.choice(n, 25, replace=False):
+                subject = scene[i]
+                others = scene[:i] + scene[i + 1 :]
+                if i % 2:
+                    # occluders whose edges pass exactly through the subject's center
+                    cu, cv = subject.center
+                    others += [
+                        det(cu, subject.top, cu + 4, subject.bottom),
+                        det(cu - 4, subject.top, cu, subject.bottom),
+                        det(subject.left, cv, subject.right, cv + 4),
+                        det(subject.left, cv - 4, subject.right, cv),
+                    ]
+                array = np.array([(o.left, o.top, o.right, o.bottom) for o in others], dtype=np.float64)
+                for grid in (1, 2, 3, 5):
+                    expected = scalar_projection_point(subject, others, grid)
+                    for occluders in (others, array):
+                        point = select_projection_point(subject, occluders, grid=grid)
+                        assert (point.u, point.v, point.conflict) == expected
+                    if expected[2]:
+                        outcomes["conflict"] += 1
+                    else:
+                        outcomes["center" if expected[:2] == subject.center else "grid"] += 1
+        assert min(outcomes.values()) >= 20, outcomes
+
 
 class TestSampleDepth:
     def test_constant_raster(self):
@@ -184,6 +244,38 @@ class TestSampleDepth:
         raster = DepthRaster(values=values)
         assert raster.values.dtype == np.float32
         assert sample_depth(raster, 3, 3, window=3) == float(np.median(upcast))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_exact_median_equals_upcast_np_median(self, dtype):
+        rng = np.random.default_rng(41)
+        specials = np.array([np.nan, np.inf, -np.inf, 0.0, -3.5])
+        values = rng.uniform(0.5, 60.0, size=(11, 13))
+        values[rng.random(values.shape) < 0.05] = 7.25  # ties
+        mask = rng.random(values.shape) < 0.4
+        values[mask] = rng.choice(specials, size=int(mask.sum()))
+        raster = DepthRaster(values=values.astype(dtype))
+        seen = set()
+        for window in (1, 3, 5, 7):
+            r = window // 2
+            for row in range(raster.height):
+                for col in range(raster.width):
+                    patch = raster.values[max(0, row - r) : row + r + 1, max(0, col - r) : col + r + 1]
+                    upcast = patch.astype(np.float64)
+                    valid = np.isfinite(upcast) & (upcast > 0)
+                    u, v = col + rng.uniform(-0.49, 0.49), row + rng.uniform(-0.49, 0.49)
+                    if not valid.any():
+                        with pytest.raises(NoValidDepthError):
+                            sample_depth(raster, u, v, window=window)
+                        continue
+                    assert sample_depth(raster, u, v, window=window) == float(np.median(upcast[valid]))
+                    seen.add((int(valid.sum()) % 2, patch.size < window * window))
+        assert seen == {(0, False), (1, False), (0, True), (1, True)}
+
+    @pytest.mark.parametrize("u,v", [(math.inf, 2), (2, -math.inf), (math.nan, 2), (2, math.nan)])
+    def test_non_finite_point_is_no_valid_depth(self, u, v):
+        raster = DepthRaster.from_values(np.ones((5, 5)))
+        with pytest.raises(NoValidDepthError):
+            sample_depth(raster, u, v, window=3)
 
     def test_raster_must_be_2d(self):
         with pytest.raises(ValueError):
@@ -336,6 +428,18 @@ class TestGeneratePseudoLabels:
         result = generate_pseudo_labels(dets, raster, [0.0], INTR, IDENTITY_SPEC, PRIOR)
         assert result.boxes == []
         assert result.diagnostics.n_no_depth == 1
+
+    def test_infinite_edge_counts_as_no_depth(self):
+        raster = DepthRaster.from_values(np.full((100, 100), 5.0))
+        dets = [Detection2D("Car", -math.inf, 10, 50, 60, 0.9)]
+        result = generate_pseudo_labels(dets, raster, [0.0], INTR, IDENTITY_SPEC, PRIOR)
+        assert result.boxes == []
+        assert result.diagnostics.n_no_depth == 1
+
+    def test_result_carries_virtual_intrinsics(self):
+        spec = VirtualCameraSpec(focal=900.0, width=1274, height=644)
+        result = generate_pseudo_labels([], self.constant_raster(), [], INTR, spec, PRIOR)
+        assert result.virtual_intrinsics == geometry.make_virtual_intrinsics(INTR, spec)
 
     def test_unknown_class_dropped_and_counted(self):
         dets = [det(100, 100, 200, 300, cls="Unicorn")]

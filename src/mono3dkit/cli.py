@@ -170,13 +170,15 @@ def cmd_pseudolabel(args) -> int:
 # ----------------------------------------------------------------------- eval
 
 
-def _records_to_boxes(records, class_name, default_score):
+def _records_to_boxes(records, class_name, path):
+    """Boxes and 2D bboxes of the `class_name` records read from `path`; a
+    record that :class:`Box3D` rejects is a :class:`ParseError` naming `path`."""
     boxes, bboxes = [], []
     for rec in records:
         if rec.type != class_name:
             continue
-        boxes.append(
-            pseudolabel.Box3D(
+        try:
+            box = pseudolabel.Box3D(
                 class_id=rec.type,
                 x=rec.x,
                 y=rec.y,
@@ -185,9 +187,11 @@ def _records_to_boxes(records, class_name, default_score):
                 w=rec.w,
                 l=rec.l,
                 yaw=rec.rotation_y,
-                score=rec.score if rec.score is not None else default_score,
+                score=rec.score if rec.score is not None else 1.0,
             )
-        )
+        except ValueError as exc:
+            raise ParseError(f"{rec.type} label: {exc}", path=path) from exc
+        boxes.append(box)
         bboxes.append((rec.left, rec.top, rec.right, rec.bottom))
     return boxes, bboxes
 
@@ -208,8 +212,8 @@ def cmd_eval(args) -> int:
             raise DataIOError(f"missing prediction file {pred_path}")
         gt_records = [r for r in dataio.read_labels(gt_path) if r.type == args.class_name]
         pred_records = dataio.read_labels(pred_path)
-        gts, gt_bboxes = _records_to_boxes(gt_records, args.class_name, default_score=1.0)
-        preds, pred_bboxes = _records_to_boxes(pred_records, args.class_name, default_score=1.0)
+        gts, gt_bboxes = _records_to_boxes(gt_records, args.class_name, gt_path)
+        preds, pred_bboxes = _records_to_boxes(pred_records, args.class_name, pred_path)
         gt_records_per_image.append(gt_records)
         frames_all.append(
             eval3d.EvalFrame(preds=preds, gts=gts, pred_bboxes=pred_bboxes, gt_bboxes=gt_bboxes)
@@ -310,7 +314,7 @@ def cmd_stats(args) -> int:
         raise DataIOError(f"no label files in {pred_dir}")
     boxes = []
     for path in files:
-        boxes += _records_to_boxes(dataio.read_labels(path), args.class_name, default_score=1.0)[0]
+        boxes += _records_to_boxes(dataio.read_labels(path), args.class_name, path)[0]
     if not boxes:
         raise EmptyInputError(f"no {args.class_name!r} boxes in {pred_dir}")
     stats = eval3d.height_histogram(boxes, bin_width=args.bin_width)
@@ -521,10 +525,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except (ParseError, DataIOError, ConfigError, EmptyInputError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, DataIOError, ConfigError, EmptyInputError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except (PipelineError, ValueError, KeyError) as exc:

@@ -7,8 +7,9 @@ that captured the image.
 
 Conventions: OpenCV-style camera frame (X right, Y down, Z forward; only
 Z > 0 is visible), continuous sub-pixel coordinates throughout, all angles
-in radians.  Every transform is a pure function; coordinate arguments may
-be scalars or equal-shaped numpy arrays.
+in radians.  Every transform is a pure function written as plain arithmetic
+on its arguments, with no conversion: floats in give floats out, and
+equal-shaped numpy arrays in give arrays out.
 """
 
 from __future__ import annotations
@@ -39,13 +40,9 @@ __all__ = [
 ]
 
 
-def _scalar_or_array(x):
-    arr = np.asarray(x, dtype=float)
-    return float(arr) if arr.ndim == 0 else arr
-
-
 def _check_depth(z):
-    if np.any(np.asarray(z) <= 0):
+    # NaN compares false, so a NaN depth passes.
+    if (np.asarray(z) <= 0).any():
         raise NonPositiveDepthError("depth must be > 0")
 
 
@@ -167,12 +164,7 @@ def to_virtual(u, v, z_cam, intr: CameraIntrinsics, spec: VirtualCameraSpec):
     ratio, so the virtual depth satisfies z_v * fx == z_cam * focal.
     """
     _check_depth(z_cam)
-    sx = spec.width / intr.width
-    sy = spec.height / intr.height
-    u_v = np.asarray(u, dtype=float) * sx
-    v_v = np.asarray(v, dtype=float) * sy
-    z_v = np.asarray(z_cam, dtype=float) * spec.focal / intr.fx
-    return _scalar_or_array(u_v), _scalar_or_array(v_v), _scalar_or_array(z_v)
+    return u * (spec.width / intr.width), v * (spec.height / intr.height), z_cam * spec.focal / intr.fx
 
 
 def from_virtual(u_v, v_v, z_v, intr: CameraIntrinsics, spec: VirtualCameraSpec) -> CamPoint3:
@@ -180,28 +172,21 @@ def from_virtual(u_v, v_v, z_v, intr: CameraIntrinsics, spec: VirtualCameraSpec)
     _check_depth(z_v)
     sx = spec.width / intr.width
     sy = spec.height / intr.height
-    z_cam = np.asarray(z_v, dtype=float) * intr.fx / spec.focal
-    x = (np.asarray(u_v, dtype=float) / sx - intr.cx) * z_cam / intr.fx
-    y = (np.asarray(v_v, dtype=float) / sy - intr.cy) * z_cam / intr.fy
-    return CamPoint3(_scalar_or_array(x), _scalar_or_array(y), _scalar_or_array(z_cam))
+    z_cam = z_v * intr.fx / spec.focal
+    return CamPoint3((u_v / sx - intr.cx) * z_cam / intr.fx, (v_v / sy - intr.cy) * z_cam / intr.fy, z_cam)
 
 
 def project(point: CamPoint3, camera):
     """Project a camera-frame point to pixels.  `camera` is either
     :class:`CameraIntrinsics` or :class:`VirtualIntrinsics`."""
     _check_depth(point.z)
-    u = camera.fx * np.asarray(point.x, dtype=float) / point.z + camera.cx
-    v = camera.fy * np.asarray(point.y, dtype=float) / point.z + camera.cy
-    return _scalar_or_array(u), _scalar_or_array(v)
+    return camera.fx * point.x / point.z + camera.cx, camera.fy * point.y / point.z + camera.cy
 
 
 def backproject(u, v, z, camera) -> CamPoint3:
     """Inverse of :func:`project` at known depth z."""
     _check_depth(z)
-    z = np.asarray(z, dtype=float)
-    x = (np.asarray(u, dtype=float) - camera.cx) * z / camera.fx
-    y = (np.asarray(v, dtype=float) - camera.cy) * z / camera.fy
-    return CamPoint3(_scalar_or_array(x), _scalar_or_array(y), _scalar_or_array(z))
+    return CamPoint3((u - camera.cx) * z / camera.fx, (v - camera.cy) * z / camera.fy, z)
 
 
 def sample_virtual_camera(base: VirtualCameraSpec, seed, aug: AugmentConfig) -> VirtualCameraSpec:
@@ -238,7 +223,6 @@ def rotation_matrix(yaw: float, pitch: float, roll: float) -> np.ndarray:
 
 def rotate_point(point: CamPoint3, rotation: np.ndarray) -> CamPoint3:
     """Apply a 3x3 rotation to a camera-frame point (array fields supported)."""
-    x = rotation[0, 0] * point.x + rotation[0, 1] * point.y + rotation[0, 2] * point.z
-    y = rotation[1, 0] * point.x + rotation[1, 1] * point.y + rotation[1, 2] * point.z
-    z = rotation[2, 0] * point.x + rotation[2, 1] * point.y + rotation[2, 2] * point.z
-    return CamPoint3(_scalar_or_array(x), _scalar_or_array(y), _scalar_or_array(z))
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rotation.tolist()
+    x, y, z = point.x, point.y, point.z
+    return CamPoint3(r00 * x + r01 * y + r02 * z, r10 * x + r11 * y + r12 * z, r20 * x + r21 * y + r22 * z)

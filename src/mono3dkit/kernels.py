@@ -218,7 +218,7 @@ def bin_centers(spec: BinSpec):
     """Monotone depth-bin centers from unconstrained interval parameters.
 
     Interval widths are softplus(delta) renormalized to cover exactly
-    [depth_min, depthmax]; centers are depth_min plus the cumulative sum.
+    [depth_min, depth_max]; centers are depth_min plus the cumulative sum.
     The construction pins the last center to depth_max and keeps centers
     strictly increasing for any real delta.  Returns (centers, jacobian)
     with jacobian[k, j] = d centers[k] / d delta[j].
@@ -526,7 +526,11 @@ def run_gradient_suite(seed: int = 0, points: int = 100, h: float = 1e-5) -> dic
 
     Each kernel is probed at `points` seeded random smooth instances (kink
     neighborhoods excluded); returns {kernel: worst relative error}.
+    Raises ValueError when `points` < 1: a sweep over no instances checks
+    nothing.
     """
+    if points < 1:
+        raise ValueError(f"points must be >= 1, got {points}")
     results = {}
     for i, (name, runner) in enumerate(_SUITE.items()):
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))

@@ -282,6 +282,24 @@ class TestEvalCommand:
         assert main(["eval", "--pred", str(tmp_path / "p"), "--gt", str(tmp_path / "g"),
                      "--class-name", "Car", "--iou", "1.5"]) == 3
 
+    @pytest.mark.parametrize(
+        "which, line",
+        [
+            ("gt", "Car 0.00 0 0.00 100.00 100.00 160.00 160.00 1.50 1.60 3.90 1.00 1.50 -5.00 0.00"),
+            ("gt", "Car 0.00 0 0.00 100.00 100.00 160.00 160.00 1.50 0.00 3.90 1.00 1.50 10.00 0.00"),
+            ("pred", "Car 0.00 0 0.00 100.00 100.00 160.00 160.00 1.50 1.60 3.90 1.00 1.50 10.00 0.00 3.20"),
+        ],
+    )
+    def test_malformed_box_values_are_data_error_with_file(self, tmp_path, capsys, which, line):
+        good = "Car 0.00 0 0.00 100.00 100.00 160.00 160.00 1.50 1.60 3.90 1.00 1.50 10.00 0.00"
+        lines = {"gt": good, "pred": good + " 0.90", which: line}
+        dirs = {name: tmp_path / name for name in lines}
+        for name, d in dirs.items():
+            d.mkdir()
+            (d / "000000.txt").write_text(lines[name] + "\n")
+        assert main(["eval", "--pred", str(dirs["pred"]), "--gt", str(dirs["gt"]), "--class-name", "Car"]) == 2
+        assert str(dirs[which] / "000000.txt") in capsys.readouterr().err
+
     def test_bbox2d_metric_runs(self, tmp_path):
         fixtures.build_scene(tmp_path, n_images=2, seed=13)
         gt = tmp_path / "gt"
@@ -299,6 +317,12 @@ class TestGradcheckCommand:
         assert set(payload["kernels"]) >= {"query_gate", "diversity_loss", "bin_centers"}
         assert all(entry["max_rel_error"] < payload["bound"] for entry in payload["kernels"].values())
         assert "PASS" in capsys.readouterr().out
+
+    def test_zero_points_is_invariant_violation(self, tmp_path, capsys):
+        report = tmp_path / "grad.json"
+        assert main(["gradcheck", "--points", "0", "--report", str(report)]) == 3
+        assert "PASS" not in capsys.readouterr().out
+        assert not report.exists()
 
     def test_injected_gradient_bug_fails(self, monkeypatch, tmp_path):
         real = kernels.depth_kl
@@ -357,6 +381,12 @@ class TestStatsCommand:
     def test_no_matching_class_is_error(self, tmp_path):
         pred = self.write_label_dir(tmp_path, [1.7])
         assert main(["stats", "--pred", str(pred), "--class-name", "Car"]) == 2
+
+    @pytest.mark.parametrize("heights", [[1.7, -1.7], [1.7, 0.0]])
+    def test_nonpositive_height_is_data_error_with_file(self, tmp_path, capsys, heights):
+        pred = self.write_label_dir(tmp_path, heights)
+        assert main(["stats", "--pred", str(pred), "--class-name", "Pedestrian"]) == 2
+        assert str(pred / "000000.txt") in capsys.readouterr().err
 
 
 class TestFilterCommand:

@@ -156,6 +156,50 @@ class TestPinhole:
             backproject(1.0, 1.0, -1.0, KITTI_LIKE)
 
 
+def xyz(p):
+    return p.x, p.y, p.z
+
+
+class TestScalarArrayAgreement:
+    """A scalar call equals the matching element of the array call."""
+
+    TRANSFORMS = {
+        "to_virtual": lambda u, v, z: to_virtual(u, v, z, KITTI_LIKE, CANON),
+        "from_virtual": lambda u, v, z: xyz(from_virtual(u, v, z, KITTI_LIKE, CANON)),
+        "project": lambda u, v, z: project(CamPoint3(u, v, z), KITTI_LIKE),
+        "backproject": lambda u, v, z: xyz(backproject(u, v, z, make_virtual_intrinsics(KITTI_LIKE, CANON))),
+    }
+
+    @pytest.mark.parametrize("name", sorted(TRANSFORMS))
+    def test_scalar_equals_array_element(self, name):
+        fn = self.TRANSFORMS[name]
+        rng = np.random.default_rng(21)
+        u = rng.uniform(-50.0, KITTI_LIKE.width + 50.0, size=64)
+        v = rng.uniform(-50.0, KITTI_LIKE.height + 50.0, size=64)
+        z = rng.uniform(0.1, 120.0, size=64)
+        arrays = fn(u, v, z)
+        assert all(isinstance(a, np.ndarray) and a.shape == u.shape for a in arrays)
+        for i in range(u.size):
+            scalars = fn(float(u[i]), float(v[i]), float(z[i]))
+            assert all(type(s) is float for s in scalars)
+            assert scalars == tuple(a[i] for a in arrays)
+
+    @pytest.mark.parametrize("name", sorted(TRANSFORMS))
+    @pytest.mark.parametrize("bad", [0.0, -3.0])
+    def test_nonpositive_depth_rejected_for_both_kinds(self, name, bad):
+        fn = self.TRANSFORMS[name]
+        with pytest.raises(NonPositiveDepthError):
+            fn(1.0, 2.0, bad)
+        with pytest.raises(NonPositiveDepthError):
+            fn(np.array([1.0, 1.0]), np.array([2.0, 2.0]), np.array([5.0, bad]))
+
+    @pytest.mark.parametrize("name", sorted(TRANSFORMS))
+    def test_nan_depth_passes_the_depth_check(self, name):
+        fn = self.TRANSFORMS[name]
+        assert math.isnan(fn(1.0, 2.0, math.nan)[-1])
+        assert np.isnan(fn(np.array([1.0]), np.array([2.0]), np.array([math.nan]))[-1]).all()
+
+
 class TestAugmentation:
     def test_degenerate_range_is_constant(self):
         aug = AugmentConfig(focal_min=900.0, focal_max=900.0)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import dataio, eval3d, geometry, kernels, pseudolabel
 from .config import PipelineConfig, load_config
-from .errors import ConfigError, DataIOError, EmptyInputError, ParseError, PipelineError
+from .errors import ConfigError, DataIOError, EmptyInputError, InvalidIntrinsicsError, ParseError, PipelineError
 
 __all__ = ["main", "build_parser"]
 
@@ -52,21 +52,17 @@ def _echo(lines, header="config"):
 
 def _load_pipeline_config(args) -> PipelineConfig:
     cfg = load_config(args.config) if args.config else PipelineConfig()
-    overrides = {}
-    for key in (
-        "score_threshold",
-        "virtual_focal",
-        "virtual_width",
-        "virtual_height",
-        "depth_window",
-        "fallback_grid",
-        "clamp_alpha",
-        "clamp_beta",
-    ):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
+    overrides = {f.name: getattr(args, f.name) for f in fields(cfg) if getattr(args, f.name, None) is not None}
     return replace(cfg, **overrides) if overrides else cfg
+
+
+def _read_intrinsics(calib_path: Path, width: int, height: int) -> geometry.CameraIntrinsics:
+    """P2 intrinsics from a calibration file; intrinsics it cannot yield are a ParseError naming it."""
+    calib = dataio.read_calib(calib_path)
+    try:
+        return calib.intrinsics(width, height)
+    except (InvalidIntrinsicsError, DataIOError) as exc:
+        raise ParseError(str(exc), path=calib_path) from None
 
 
 def _gather_detections(det_dir: Path):
@@ -121,14 +117,8 @@ def cmd_pseudolabel(args) -> int:
     written = []
     try:
         for image_id in image_ids:
-            depth_path = depth_dir / f"{image_id}.dpr"
-            calib_path = calib_dir / f"{image_id}.txt"
-            if not depth_path.is_file():
-                raise DataIOError(f"image {image_id!r}: missing depth raster {depth_path}")
-            if not calib_path.is_file():
-                raise DataIOError(f"image {image_id!r}: missing calibration {calib_path}")
-            depth = dataio.read_depth(depth_path)
-            intr = dataio.read_calib(calib_path).intrinsics(depth.width, depth.height)
+            depth = dataio.read_depth(depth_dir / f"{image_id}.dpr")
+            intr = _read_intrinsics(calib_dir / f"{image_id}.txt", depth.width, depth.height)
             entries = images[image_id]
             result = pseudolabel.generate_pseudo_labels(
                 [e.detection for e in entries],
@@ -190,7 +180,7 @@ def _records_to_boxes(records, class_name, path):
                 score=rec.score if rec.score is not None else 1.0,
             )
         except ValueError as exc:
-            raise ParseError(f"{rec.type} label: {exc}", path=path) from exc
+            raise ParseError(f"{rec.type} label: {exc}", path=path, line=rec.line) from exc
         boxes.append(box)
         bboxes.append((rec.left, rec.top, rec.right, rec.bottom))
     return boxes, bboxes
@@ -208,8 +198,6 @@ def cmd_eval(args) -> int:
     gt_records_per_image, frames_all = [], []
     for gt_path in gt_files:
         pred_path = pred_dir / gt_path.name
-        if not pred_path.is_file():
-            raise DataIOError(f"missing prediction file {pred_path}")
         gt_records = [r for r in dataio.read_labels(gt_path) if r.type == args.class_name]
         pred_records = dataio.read_labels(pred_path)
         gts, gt_bboxes = _records_to_boxes(gt_records, args.class_name, gt_path)
@@ -344,7 +332,7 @@ def cmd_filter(args) -> int:
     path = Path(args.losses)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataIOError(f"cannot read losses file {path}: {exc}") from exc
     names, values = [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -359,10 +347,7 @@ def cmd_filter(args) -> int:
             raw = tokens[1]
         else:
             raise ParseError(f"expected 'loss' or 'name loss', got {line!r}", path=path, line=lineno)
-        try:
-            values.append(float(raw))
-        except ValueError:
-            raise ParseError(f"bad loss value {raw!r}", path=path, line=lineno) from None
+        values.append(dataio._parse_float(raw, path, lineno, "loss"))
     keep, tau = kernels.outlier_filter(values, k=args.k)
     print(f"tau = {tau:.6f}")
     for name, value, kept in zip(names, values, keep):
@@ -419,10 +404,7 @@ def cmd_normalize(args) -> int:
 
     count = 0
     for label_path in sorted(label_dir.glob("*.txt")):
-        calib_path = calib_dir / label_path.name
-        if not calib_path.is_file():
-            raise DataIOError(f"image {label_path.stem!r}: missing calibration {calib_path}")
-        intr = dataio.read_calib(calib_path).intrinsics(args.image_width, args.image_height)
+        intr = _read_intrinsics(calib_dir / label_path.name, args.image_width, args.image_height)
         vintr = geometry.make_virtual_intrinsics(intr, spec)
         records = [
             _transform_record(rec, intr, spec, vintr, args.invert)

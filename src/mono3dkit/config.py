@@ -1,14 +1,18 @@
 """Pipeline configuration: defaults, file parsing, provenance echo.
 
 The config file is plain "key = value" text ('#' starts a comment).
-Unknown keys are rejected so that a typo cannot silently fall back to a
-default, and the effective configuration is echoed into every command
-summary for reproducibility.  Per-class dimension priors use keys like
-``prior.Car = <width> <length> <height>`` (meters).
+The keys are exactly the fields of :class:`PipelineConfig`, each read as
+the type of its default; unknown keys are rejected so that a typo cannot
+silently fall back to a default, and the effective configuration is echoed
+into every command summary for reproducibility.  Per-class dimension
+priors use keys like ``prior.Car = <width> <length> <height>`` (meters).
+Each value must be a finite number (whole for an int key); which values
+are in range, :class:`PipelineConfig` and :class:`ClassPrior` decide.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Dict
@@ -55,6 +59,10 @@ class PipelineConfig:
     priors: Dict[str, ClassPrior] = field(default_factory=lambda: dict(DEFAULT_PRIORS))
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if not (0.0 <= self.score_threshold <= 1.0):
             raise ConfigError(f"score_threshold {self.score_threshold} outside [0, 1]")
         if self.outlier_k < 0:
@@ -103,35 +111,20 @@ class PipelineConfig:
         return lines
 
 
-_INT_KEYS = {"virtual_width", "virtual_height", "depth_window", "fallback_grid", "bin_count"}
-_FLOAT_KEYS = {
-    "score_threshold",
-    "outlier_k",
-    "virtual_focal",
-    "clamp_alpha",
-    "clamp_beta",
-    "lambda_dice",
-    "lambda_bce",
-    "smooth_delta",
-    "consistency_clamp",
-    "target_depth_std",
-    "depth_min",
-    "depth_max",
-    "bce_clip",
-    "dice_smooth",
-}
+# The type of each scalar key is the type of its default.
+_NUMBER_TYPES = {f.name: type(f.default) for f in fields(PipelineConfig) if f.name != "priors"}
 
 
 def _parse_number(key: str, raw: str, lineno):
+    kind = _NUMBER_TYPES[key]
     try:
-        if key in _INT_KEYS:
-            value = float(raw)
-            if not value.is_integer():
-                raise ValueError
-            return int(value)
-        return float(raw)
+        # float() also reads "nan", "inf" and "1e999"; none is a usable value.
+        value = float(raw)
+        if not math.isfinite(value) or (kind is int and not value.is_integer()):
+            raise ValueError
     except ValueError:
         raise ConfigError(f"line {lineno}: bad value {raw!r} for {key}") from None
+    return kind(value)
 
 
 def parse_config_text(text: str, base: PipelineConfig | None = None) -> PipelineConfig:
@@ -156,11 +149,10 @@ def parse_config_text(text: str, base: PipelineConfig | None = None) -> Pipeline
             if len(parts) != 3:
                 raise ConfigError(f"line {lineno}: prior needs 'width length height', got {raw_value!r}")
             try:
-                w, l, h = (float(p) for p in parts)
-            except ValueError:
-                raise ConfigError(f"line {lineno}: bad prior values {raw_value!r}") from None
-            priors[cls] = ClassPrior(width=w, length=l, height=h)
-        elif key in _INT_KEYS or key in _FLOAT_KEYS:
+                priors[cls] = ClassPrior(*(float(p) for p in parts))
+            except ValueError as exc:
+                raise ConfigError(f"line {lineno}: bad {key} = {raw_value!r}: {exc}") from None
+        elif key in _NUMBER_TYPES:
             overrides[key] = _parse_number(key, raw_value, lineno)
         else:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
@@ -171,6 +163,6 @@ def load_config(path) -> PipelineConfig:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return parse_config_text(text)

@@ -11,21 +11,25 @@ Formats:
   float32 payload; non-finite or <= 0 values mark invalid pixels.
 
 Readers reject malformed input instead of repairing it, and every parse
-error names the file and line.  All serialization is locale-independent.
+error names the file and line.  Every number in a text file must be
+finite; which values are valid beyond that, the domain types
+(:class:`Detection2D`, :class:`CameraIntrinsics`) decide.  All
+serialization is locale-independent.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from .errors import DataIOError, InvalidIntrinsicsError, ParseError
+from .errors import DataIOError, ParseError
 from .geometry import CameraIntrinsics
 from .pseudolabel import Detection2D, DepthRaster
 
@@ -53,7 +57,7 @@ DEPTH_MAGIC = b"DPR1"
 
 @dataclass(frozen=True)
 class KittiLabelRecord:
-    """One line of a KITTI object label file."""
+    """One line of a KITTI object label file; `line` is its line number when read from one."""
 
     type: str
     truncated: float
@@ -71,13 +75,32 @@ class KittiLabelRecord:
     z: float
     rotation_y: float
     score: Optional[float] = None
+    line: Optional[int] = field(default=None, compare=False, repr=False)
+
+
+def _read_text(path: Path, what: str, encoding: str) -> str:
+    """The text of `path`; an unreadable file is a DataIOError, and a byte
+    that is not `encoding` text a ParseError at its line."""
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise DataIOError(f"cannot read {what} file {path}: {exc}") from exc
+    try:
+        return data.decode(encoding)
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start].decode(encoding) + "x").splitlines())
+        raise ParseError(f"byte {data[exc.start]:#04x} is not {encoding} text", path=path, line=line) from None
 
 
 def _parse_float(token: str, path, lineno, what: str) -> float:
     try:
-        return float(token)
+        # float() also reads "nan", "inf" and "1e999"; none is a usable value.
+        value = float(token)
+        if not math.isfinite(value):
+            raise ValueError
     except ValueError:
         raise ParseError(f"bad {what} value {token!r}", path=path, line=lineno) from None
+    return value
 
 
 def _parse_label_line(line: str, path, lineno: int) -> KittiLabelRecord:
@@ -106,6 +129,7 @@ def _parse_label_line(line: str, path, lineno: int) -> KittiLabelRecord:
         z=values[10],
         rotation_y=values[11],
         score=score,
+        line=lineno,
     )
 
 
@@ -123,10 +147,7 @@ def format_label_line(rec: KittiLabelRecord) -> str:
 
 def read_labels(path) -> List[KittiLabelRecord]:
     path = Path(path)
-    try:
-        text = path.read_text(encoding="ascii")
-    except OSError as exc:
-        raise DataIOError(f"cannot read label file {path}: {exc}") from exc
+    text = _read_text(path, "label", "ascii")
     records = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -155,18 +176,14 @@ class CalibRecord:
         if camera not in self.projections:
             raise DataIOError(f"calibration has no {camera} entry")
         p = self.projections[camera]
-        fx, fy = float(p[0, 0]), float(p[1, 1])
-        if fx <= 0 or fy <= 0:
-            raise InvalidIntrinsicsError(f"non-positive focal length in {camera}: fx={fx}, fy={fy}")
-        return CameraIntrinsics(fx=fx, fy=fy, cx=float(p[0, 2]), cy=float(p[1, 2]), width=width, height=height)
+        return CameraIntrinsics(
+            fx=float(p[0, 0]), fy=float(p[1, 1]), cx=float(p[0, 2]), cy=float(p[1, 2]), width=width, height=height
+        )
 
 
 def read_calib(path) -> CalibRecord:
     path = Path(path)
-    try:
-        text = path.read_text(encoding="ascii")
-    except OSError as exc:
-        raise DataIOError(f"cannot read calib file {path}: {exc}") from exc
+    text = _read_text(path, "calib", "ascii")
     projections = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -254,33 +271,29 @@ def _parse_detection_obj(obj, path, lineno) -> DetectionEntry:
     if not (isinstance(bbox, list) and len(bbox) == 4):
         raise ParseError("bbox must be [left, top, right, bottom]", path=path, line=lineno)
     left, top, right, bottom = (_finite_number(v, path, lineno, "bbox edge") for v in bbox)
-    if not (left < right and top < bottom):
-        raise ParseError(f"bbox edges out of order: {bbox}", path=path, line=lineno)
     score = _finite_number(obj["score"], path, lineno, "score")
-    if not (0.0 <= score <= 1.0):
-        raise ParseError(f"score {score} outside [0, 1]", path=path, line=lineno)
-    det = Detection2D(
-        class_id=str(obj["class"]), left=left, top=top, right=right, bottom=bottom, score=score
-    )
+    try:
+        det = Detection2D(
+            class_id=str(obj["class"]), left=left, top=top, right=right, bottom=bottom, score=score
+        )
+    except ValueError as exc:
+        raise ParseError(str(exc), path=path, line=lineno) from None
     yaw = obj.get("yaw")
     return DetectionEntry(detection=det, yaw=None if yaw is None else _finite_number(yaw, path, lineno, "yaw"))
 
 
 def read_detections(path) -> DetectionFile:
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataIOError(f"cannot read detection file {path}: {exc}") from exc
-    lines = text.splitlines()
+    lines = _read_text(path, "detection", "utf-8").splitlines()
     if not lines:
         raise ParseError("missing schema header line", path=path, line=1)
 
     def load(lineno, line):
         try:
             return json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", path=path, line=lineno) from None
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError, an integer beyond int's digit limit, or nesting beyond the recursion limit
+            raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", path=path, line=lineno) from None
 
     header = load(1, lines[0])
     if not isinstance(header, dict) or header.get("schema") != DETECTION_SCHEMA:

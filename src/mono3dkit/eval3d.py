@@ -430,8 +430,8 @@ def height_histogram(preds: Sequence[Box3D], bin_width: float) -> HeightStats:
     the population variance.  Useful as a plausibility check: person
     heights should cluster near typical adult stature.
     """
-    if bin_width <= 0:
-        raise ValueError(f"bin_width must be > 0, got {bin_width}")
+    if not (0 < bin_width < math.inf):
+        raise ValueError(f"bin_width must be finite and > 0, got {bin_width}")
     if len(preds) == 0:
         raise EmptyInputError("height_histogram needs at least one box")
     heights = np.array([b.h for b in preds], dtype=float)

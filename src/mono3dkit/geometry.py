@@ -89,9 +89,9 @@ class VirtualCameraSpec:
     height: int
 
     def __post_init__(self):
-        if self.focal <= 0 or self.width <= 0 or self.height <= 0:
+        if not (0 < self.focal < math.inf) or self.width <= 0 or self.height <= 0:
             raise InvalidIntrinsicsError(
-                f"virtual camera parameters must be positive, got focal={self.focal}, size={self.width}x{self.height}"
+                f"virtual camera parameters must be positive and finite, got focal={self.focal}, size={self.width}x{self.height}"
             )
 
 

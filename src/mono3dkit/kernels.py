@@ -358,8 +358,8 @@ def outlier_filter(losses, k: float = 2.0):
         arr = arr.reshape(-1)
     if arr.size == 0:
         raise EmptyInputError("outlier_filter needs at least one loss")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    if not (0 <= k < math.inf):
+        raise ValueError(f"k must be finite and >= 0, got {k}")
     tau = float(np.median(arr) + k * arr.std())
     return arr <= tau, tau
 

@@ -121,8 +121,8 @@ class ClassPrior:
     height: float
 
     def __post_init__(self):
-        if min(self.width, self.length, self.height) <= 0:
-            raise ValueError(f"prior dimensions must be positive: {self}")
+        if not all(0 < d < math.inf for d in (self.width, self.length, self.height)):
+            raise ValueError(f"prior dimensions must be positive and finite: {self}")
 
 
 @dataclass(frozen=True)

@@ -499,3 +499,126 @@ class TestUsage:
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 1
         assert "pseudolabel" in capsys.readouterr().err
+
+
+GOOD_P2 = b"P2: 500 0 160 0 0 500 120 0 0 0 1 0\n"
+
+
+class TestMalformedInputIsDataError:
+    """Each malformed input exits 2 and names its file (and line), or the config key."""
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            (b"P2: -500 0 160 0 0 500 120 0 0 0 1 0\n", None),
+            (b"P2: 500 0 9000 0 0 500 120 0 0 0 1 0\n", None),
+            (b"P2: nan 0 160 0 0 500 120 0 0 0 1 0\n", 1),
+            (GOOD_P2 + b"P0: 1 0 0 0 0 1 0 0 0 0 1 \xff\n", 2),
+        ],
+        ids=["negative-fx", "principal-point-outside", "nan", "0xff"],
+    )
+    def test_pseudolabel_calibration(self, tmp_path, capsys, text, line):
+        fixtures.build_scene(tmp_path, n_images=1, seed=12)
+        path = tmp_path / "calib" / "000000.txt"
+        path.write_bytes(text)
+        assert run_pseudolabel(tmp_path, tmp_path / "out") == 2
+        assert (f"{path}:{line}:" if line else f"{path}:") in capsys.readouterr().err
+
+    def test_normalize_calibration_with_negative_focal(self, tmp_path, capsys):
+        labels, calib = TestNormalizeCommand().make_labels(tmp_path)
+        path = calib / "000000.txt"
+        path.write_text("P2: -700 0 320 0 0 700 240 0 0 0 1 0\n")
+        assert main(["normalize", "--labels", str(labels), "--calib", str(calib), "--out", str(tmp_path / "o"),
+                     "--image-width", "640", "--image-height", "480"]) == 2
+        assert f"{path}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "which, line",
+        [
+            ("gt", b"Car 0.00 0 0.00 100.00 100.00 160.00 160.00 nan 1.60 3.90 1.00 1.50 nan 0.00"),
+            ("gt", b"Car 0.00 0 0.00 100.00 100.00 160.00 160.00 1.50 1.60 3.90 1.00 1.50 -5.00 0.00"),
+            ("gt", b"Car 0.00 0 0.00 100.00 100.00 160.00 160.00 1.50 1.60 3.90 1.00 1.50 5.00 0.00 \xff"),
+            ("pred", b"Car 0.00 0 0.00 100.00 100.00 160.00 160.00 1.50 1.60 3.90 1.00 1.50 inf 0.00 0.90"),
+        ],
+        ids=["gt-nan-h-z", "gt-negative-z", "gt-0xff", "pred-inf-z"],
+    )
+    def test_eval_label_names_file_and_line(self, tmp_path, capsys, which, line):
+        gt = b"Car 0.00 0 0.00 100.00 100.00 160.00 160.00 1.50 1.60 3.90 1.00 1.50 10.00 0.00"
+        good = {"gt": gt, "pred": gt + b" 0.90"}
+        dirs = {name: tmp_path / name for name in good}
+        for name, d in dirs.items():
+            d.mkdir()
+            second = line if name == which else good[name]
+            (d / "000000.txt").write_bytes(good[name] + b"\n" + second + b"\n")
+        assert main(["eval", "--pred", str(dirs["pred"]), "--gt", str(dirs["gt"]), "--class-name", "Car"]) == 2
+        assert f"{dirs[which] / '000000.txt'}:2:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            b'{"image": "000000", "detections": []}\xff',
+            b'{"image": "000000", "detections": [{"class": "Car", "bbox": [1' + b"0" * 4999
+            + b', 20, 60, 90], "score": 0.5}]}',
+            b'{"image": "000000", "detections": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+        ],
+        ids=["0xff", "5000-digit-int", "deep-nesting"],
+    )
+    def test_detection_file_names_file_and_line(self, tmp_path, capsys, record):
+        fixtures.build_scene(tmp_path, n_images=1, seed=12)
+        path = tmp_path / "detections" / "scene.jsonl"
+        header = json.dumps({"schema": dataio.DETECTION_SCHEMA, "version": dataio.DETECTION_VERSION})
+        path.write_bytes(header.encode() + b"\n" + record + b"\n")
+        assert run_pseudolabel(tmp_path, tmp_path / "out") == 2
+        assert f"{path}:2:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (b"score_threshold = 0.2\nvirtual_focal = nan\n", ["line 2", "virtual_focal"]),
+            (b"prior.Car = -1 2 3\n", ["line 1", "prior.Car"]),
+            (b"score_threshold = 0.2\nprior.Car = nan 1 1\n", ["line 2", "prior.Car"]),
+            (b"score_threshold = 0.2 \xff\n", ["c.cfg"]),
+        ],
+        ids=["nan-focal", "negative-prior", "nan-prior", "0xff"],
+    )
+    def test_config_file(self, tmp_path, capsys, text, expected):
+        fixtures.build_scene(tmp_path, n_images=1, seed=12)
+        (tmp_path / "c.cfg").write_bytes(text)
+        assert run_pseudolabel(tmp_path, tmp_path / "out", extra=("--config", str(tmp_path / "c.cfg"))) == 2
+        err = capsys.readouterr().err
+        assert all(word in err for word in expected)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_flag(self, tmp_path, capsys, value):
+        fixtures.build_scene(tmp_path, n_images=1, seed=12)
+        out = tmp_path / "out"
+        assert run_pseudolabel(tmp_path, out, extra=("--virtual-focal", value)) == 2
+        assert "virtual_focal" in capsys.readouterr().err
+        assert list(out.glob("*.txt")) == []
+
+    def test_filter_nan_loss(self, tmp_path, capsys):
+        losses = tmp_path / "l.txt"
+        losses.write_text("a 1\nb nan\n")
+        assert main(["filter", "--losses", str(losses)]) == 2
+        assert f"{losses}:2:" in capsys.readouterr().err
+
+
+class TestNonFiniteFlagsAreRejected:
+    """A non-finite value of a flag outside PipelineConfig is out of range, like any other (exit 3)."""
+
+    @pytest.mark.parametrize("focal", ["nan", "inf"])
+    def test_normalize_focal(self, tmp_path, focal):
+        labels, calib = TestNormalizeCommand().make_labels(tmp_path)
+        out = tmp_path / "o"
+        assert main(["normalize", "--labels", str(labels), "--calib", str(calib), "--out", str(out),
+                     "--image-width", "640", "--image-height", "480", "--focal", focal]) == 3
+        assert list(out.glob("*.txt")) == []
+
+    def test_filter_k(self, tmp_path):
+        losses = tmp_path / "l.txt"
+        losses.write_text("1\n2\n3\n")
+        assert main(["filter", "--losses", str(losses), "--k", "nan"]) == 3
+
+    def test_stats_bin_width(self, tmp_path):
+        pred = TestStatsCommand().write_label_dir(tmp_path, [1.7])
+        assert main(["stats", "--pred", str(pred), "--class-name", "Pedestrian", "--bin-width", "inf"]) == 3

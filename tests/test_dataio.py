@@ -96,6 +96,13 @@ class TestLabels:
         with pytest.raises(DataIOError):
             read_labels(tmp_path / "nope.txt")
 
+    def test_records_carry_their_line_but_compare_without_it(self, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_text("\n" + format_label_line(record()) + "\n")
+        [rec] = read_labels(path)
+        assert rec.line == 2
+        assert rec == record()
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "a.txt"
         path.write_text("\n" + format_label_line(record()) + "\n\n")

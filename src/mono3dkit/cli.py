@@ -330,10 +330,7 @@ def cmd_stats(args) -> int:
 
 def cmd_filter(args) -> int:
     path = Path(args.losses)
-    try:
-        text = path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataIOError(f"cannot read losses file {path}: {exc}") from exc
+    text = dataio._read_text(path, "losses", "utf-8")
     names, values = [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
@@ -477,7 +474,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("filter", help="robust outlier filtering of a loss list")
     p.add_argument("--losses", required=True, help="file of 'loss' or 'name loss' lines")
-    p.add_argument("--k", type=float, default=2.0)
+    p.add_argument("--k", type=float, default=PipelineConfig.outlier_k)
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("normalize", help="convert a label directory to/from virtual space")

@@ -13,7 +13,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -56,19 +56,19 @@ _MAX_TRUNCATION = (0.15, 0.30, 0.50)
 
 @dataclass(frozen=True)
 class MatchConfig:
-    """Matching rule for AP: IoU threshold, metric, recall sampling."""
+    """Matching rule for AP: IoU threshold and metric."""
 
     iou_threshold: float
     metric: str = "3d"
-    recall_points: int = 40
+    # KITTI's R40 grid, recall 1/40 .. 1.  A constant: no other count on
+    # this grid is a standard metric (R11 samples recall 0, this grid never).
+    recall_points: ClassVar[int] = 40
 
     def __post_init__(self):
         if not (0 < self.iou_threshold <= 1):
             raise ValueError(f"iou_threshold {self.iou_threshold} outside (0, 1]")
         if self.metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}, got {self.metric!r}")
-        if self.recall_points < 1:
-            raise ValueError(f"recall_points must be >= 1, got {self.recall_points}")
 
 
 @dataclass(frozen=True)

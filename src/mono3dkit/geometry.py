@@ -70,8 +70,8 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise InvalidIntrinsicsError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
+        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
+            raise InvalidIntrinsicsError(f"focal lengths must be positive and finite, got fx={self.fx}, fy={self.fy}")
         if self.width <= 0 or self.height <= 0:
             raise InvalidIntrinsicsError(f"image size must be positive, got {self.width}x{self.height}")
         if not (0 <= self.cx <= self.width) or not (0 <= self.cy <= self.height):

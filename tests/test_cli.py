@@ -1,6 +1,7 @@
 import collections
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -34,7 +35,42 @@ def run_pseudolabel(root, out, extra=()):
     )
 
 
+# One non-default config line per PipelineConfig field.  A field missing
+# here fails the guard test below, so a key that nothing reads cannot be
+# added without notice.
+CONFIG_KEY_CHANGES = {
+    "score_threshold": "score_threshold = 0.5",
+    "virtual_focal": "virtual_focal = 700.0",
+    "virtual_width": "virtual_width = 1000",
+    "virtual_height": "virtual_height = 500",
+    "clamp_alpha": "clamp_alpha = 0.9",
+    "clamp_beta": "clamp_beta = 1.1",
+    "depth_window": "depth_window = 9",
+    "fallback_grid": "fallback_grid = 3",
+    "priors": "prior.Car = 2.0 5.0 2.0",
+}
+
+
+@pytest.fixture(scope="module")
+def dense_scene(tmp_path_factory):
+    """A scene with default-config labels in `default/`.  It is dense enough
+    to have occluded box centers, so that fallback_grid is exercised."""
+    root = tmp_path_factory.mktemp("dense")
+    fixtures.build_scene(root, n_images=6, seed=1101, dets_per_image=(8, 14))
+    assert run_pseudolabel(root, root / "default") == 0
+    return root
+
+
 class TestPseudolabelCommand:
+    @pytest.mark.parametrize("key", [f.name for f in fields(PipelineConfig)])
+    def test_every_config_key_changes_the_labels(self, dense_scene, tmp_path, key):
+        assert key in CONFIG_KEY_CHANGES, f"config key {key!r} has no non-default line to test it with"
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(CONFIG_KEY_CHANGES[key] + "\n")
+        out = tmp_path / "out"
+        assert run_pseudolabel(dense_scene, out, extra=("--config", str(cfg))) == 0
+        assert dir_bytes(out) != dir_bytes(dense_scene / "default")
+
     def test_produces_labels_and_summary(self, tmp_path, capsys):
         ids = fixtures.build_scene(tmp_path, n_images=4, seed=5)
         out = tmp_path / "out"
@@ -578,8 +614,9 @@ class TestMalformedInputIsDataError:
             (b"prior.Car = -1 2 3\n", ["line 1", "prior.Car"]),
             (b"score_threshold = 0.2\nprior.Car = nan 1 1\n", ["line 2", "prior.Car"]),
             (b"score_threshold = 0.2 \xff\n", ["c.cfg"]),
+            (b"depth_window = 5\nscore_threshold = 5\n", ["c.cfg", "line 2", "score_threshold"]),
         ],
-        ids=["nan-focal", "negative-prior", "nan-prior", "0xff"],
+        ids=["nan-focal", "negative-prior", "nan-prior", "0xff", "out-of-range"],
     )
     def test_config_file(self, tmp_path, capsys, text, expected):
         fixtures.build_scene(tmp_path, n_images=1, seed=12)
@@ -596,9 +633,24 @@ class TestMalformedInputIsDataError:
         assert "virtual_focal" in capsys.readouterr().err
         assert list(out.glob("*.txt")) == []
 
+    @pytest.mark.parametrize(
+        "flag, value, key",
+        [("--clamp-alpha", "1.5", "clamp_alpha"), ("--virtual-width", "0", "virtual_width")],
+    )
+    def test_out_of_range_flag_names_key(self, tmp_path, capsys, flag, value, key):
+        fixtures.build_scene(tmp_path, n_images=1, seed=12)
+        assert run_pseudolabel(tmp_path, tmp_path / "out", extra=(flag, value)) == 2
+        assert key in capsys.readouterr().err
+
     def test_filter_nan_loss(self, tmp_path, capsys):
         losses = tmp_path / "l.txt"
         losses.write_text("a 1\nb nan\n")
+        assert main(["filter", "--losses", str(losses)]) == 2
+        assert f"{losses}:2:" in capsys.readouterr().err
+
+    def test_filter_undecodable_byte(self, tmp_path, capsys):
+        losses = tmp_path / "l.txt"
+        losses.write_bytes(b"a 1\nb 2\xff\n")
         assert main(["filter", "--losses", str(losses)]) == 2
         assert f"{losses}:2:" in capsys.readouterr().err
 

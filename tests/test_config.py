@@ -14,10 +14,6 @@ class TestDefaults:
         assert (cfg.clamp_alpha, cfg.clamp_beta) == (0.5, 2.0)
         assert cfg.depth_window == 5
         assert cfg.fallback_grid == 5
-        assert cfg.smooth_delta == 1.0
-        assert cfg.consistency_clamp == 50.0
-        assert cfg.target_depth_std == 0.1
-        assert (cfg.bin_count, cfg.depth_min, cfg.depth_max) == (80, 2.0, 46.8)
 
     def test_default_priors_cover_kitti_classes(self):
         assert {"Car", "Pedestrian", "Cyclist"} <= set(DEFAULT_PRIORS)
@@ -69,8 +65,8 @@ class TestParsing:
 
     def test_load_config(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("outlier_k = 1.5\n")
-        assert load_config(path).outlier_k == 1.5
+        path.write_text("depth_window = 7\n")
+        assert load_config(path).depth_window == 7
 
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -85,10 +81,6 @@ class TestValidation:
     def test_threshold_range(self):
         with pytest.raises(ConfigError):
             PipelineConfig(score_threshold=1.5)
-
-    def test_depth_range(self):
-        with pytest.raises(ConfigError):
-            PipelineConfig(depth_min=10.0, depth_max=5.0)
 
     def test_clamp_bounds(self):
         with pytest.raises(ConfigError):

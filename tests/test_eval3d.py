@@ -44,8 +44,6 @@ class TestMatchConfig:
             MatchConfig(iou_threshold=0.0)
         with pytest.raises(ValueError):
             MatchConfig(iou_threshold=0.5, metric="volumetric")
-        with pytest.raises(ValueError):
-            MatchConfig(iou_threshold=0.5, recall_points=0)
 
 
 class TestBevIou:

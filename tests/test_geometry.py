@@ -53,6 +53,9 @@ class TestVirtualIntrinsics:
         [
             dict(fx=0.0, fy=700.0, cx=10.0, cy=10.0, width=100, height=100),
             dict(fx=700.0, fy=-1.0, cx=10.0, cy=10.0, width=100, height=100),
+            dict(fx=math.nan, fy=700.0, cx=10.0, cy=10.0, width=100, height=100),
+            dict(fx=math.inf, fy=700.0, cx=10.0, cy=10.0, width=100, height=100),
+            dict(fx=700.0, fy=math.nan, cx=10.0, cy=10.0, width=100, height=100),
             dict(fx=700.0, fy=700.0, cx=10.0, cy=10.0, width=0, height=100),
             dict(fx=700.0, fy=700.0, cx=101.0, cy=10.0, width=100, height=100),
         ],

@@ -106,7 +106,6 @@ def cmd_pseudolabel(args) -> int:
     for d, what in ((det_dir, "detections"), (depth_dir, "depth"), (calib_dir, "calib")):
         if not d.is_dir():
             raise DataIOError(f"{what} directory {d} does not exist")
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     images = _gather_detections(det_dir)
     image_ids = sorted(images)
@@ -114,33 +113,30 @@ def cmd_pseudolabel(args) -> int:
     prior = cfg.dimension_prior()
 
     totals = pseudolabel.LabelingDiagnostics()
-    written = []
-    try:
-        for image_id in image_ids:
-            depth = dataio.read_depth(depth_dir / f"{image_id}.dpr")
-            intr = _read_intrinsics(calib_dir / f"{image_id}.txt", depth.width, depth.height)
-            entries = images[image_id]
-            result = pseudolabel.generate_pseudo_labels(
-                [e.detection for e in entries],
-                depth,
-                [0.0 if e.yaw is None else e.yaw for e in entries],
-                intr,
-                spec,
-                prior,
-                score_threshold=cfg.score_threshold,
-                depth_window=cfg.depth_window,
-                fallback_grid=cfg.fallback_grid,
-            )
-            vintr = result.virtual_intrinsics
-            out_path = out_dir / f"{image_id}.txt"
-            dataio.write_labels([_label_record(e, vintr.sx, vintr.sy) for e in result.labels], out_path)
-            written.append(out_path)
-            for f in fields(totals):
-                setattr(totals, f.name, getattr(totals, f.name) + getattr(result.diagnostics, f.name))
-    except Exception:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
+    labels = {}
+    for image_id in image_ids:
+        depth = dataio.read_depth(depth_dir / f"{image_id}.dpr")
+        intr = _read_intrinsics(calib_dir / f"{image_id}.txt", depth.width, depth.height)
+        entries = images[image_id]
+        result = pseudolabel.generate_pseudo_labels(
+            [e.detection for e in entries],
+            depth,
+            [0.0 if e.yaw is None else e.yaw for e in entries],
+            intr,
+            spec,
+            prior,
+            score_threshold=cfg.score_threshold,
+            depth_window=cfg.depth_window,
+            fallback_grid=cfg.fallback_grid,
+        )
+        vintr = result.virtual_intrinsics
+        labels[out_dir / f"{image_id}.txt"] = [_label_record(e, vintr.sx, vintr.sy) for e in result.labels]
+        for f in fields(totals):
+            setattr(totals, f.name, getattr(totals, f.name) + getattr(result.diagnostics, f.name))
+    # Nothing is written until every image is labelled, so a failed run leaves --out as it was.
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for path, records in labels.items():
+        dataio.write_labels(records, path)
 
     _echo(
         [
@@ -260,7 +256,7 @@ def cmd_eval(args) -> int:
                 for name in rows
             },
         }
-        Path(args.report).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        dataio._write_bytes(Path(args.report), (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode(), "report")
     return 0
 
 
@@ -286,7 +282,7 @@ def cmd_gradcheck(args) -> int:
             },
             "passed": all_pass,
         }
-        Path(args.report).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        dataio._write_bytes(Path(args.report), (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode(), "report")
     return 0 if all_pass else 3
 
 
@@ -311,7 +307,7 @@ def cmd_stats(args) -> int:
             f"{center:.6f} {count}"
             for center, count in zip(stats.bin_centers(), stats.counts)
         ]
-        Path(args.out).write_text("".join(line + "\n" for line in lines))
+        dataio._write_bytes(Path(args.out), "".join(line + "\n" for line in lines).encode(), "histogram")
     _echo(
         [
             f"count = {stats.count}",
@@ -396,21 +392,21 @@ def cmd_normalize(args) -> int:
     for d, what in ((label_dir, "label"), (calib_dir, "calib")):
         if not d.is_dir():
             raise DataIOError(f"{what} directory {d} does not exist")
-    out_dir.mkdir(parents=True, exist_ok=True)
     spec = geometry.VirtualCameraSpec(focal=args.focal, width=args.width, height=args.height)
 
-    count = 0
+    labels = {}
     for label_path in sorted(label_dir.glob("*.txt")):
         intr = _read_intrinsics(calib_dir / label_path.name, args.image_width, args.image_height)
         vintr = geometry.make_virtual_intrinsics(intr, spec)
-        records = [
+        labels[out_dir / label_path.name] = [
             _transform_record(rec, intr, spec, vintr, args.invert)
             for rec in dataio.read_labels(label_path)
         ]
-        dataio.write_labels(records, out_dir / label_path.name)
-        count += 1
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for path, records in labels.items():
+        dataio.write_labels(records, path)
     _echo(
-        [f"files = {count}", f"direction = {'from-virtual' if args.invert else 'to-virtual'}"],
+        [f"files = {len(labels)}", f"direction = {'from-virtual' if args.invert else 'to-virtual'}"],
         header="summary",
     )
     _echo(

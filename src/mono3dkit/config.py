@@ -6,11 +6,11 @@ the type of its default, and ``pseudolabel`` reads every one of them;
 unknown keys are rejected so that a typo cannot silently fall back to a
 default, and the effective configuration is echoed into every command
 summary for reproducibility.  Per-class dimension priors use keys like
-``prior.Car = <width> <length> <height>`` (meters).  Each value must be a
-finite number (whole for an int key); which values are in range,
-:class:`PipelineConfig` and the objects it builds decide.  A rejected
-value is reported with its line and key, and :func:`load_config` adds
-the file.
+``prior.Car = <width> <length> <height>`` (meters), the class one printable
+ASCII word.  Each value must be a finite number (whole for an int key);
+which values are in range, :class:`PipelineConfig` and the objects it
+builds decide.  A rejected value is reported with its line and key, and
+:func:`load_config` adds the file.
 
 The loss-kernel hyperparameters (region-loss weights, smooth-L1
 transition and clamp, BCE clip, Dice smoothing) are the kernels' own
@@ -25,7 +25,8 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import ClassVar, Dict
 
-from .errors import ConfigError
+from . import dataio
+from .errors import ConfigError, DataIOError, ParseError
 from .geometry import VirtualCameraSpec
 from .pseudolabel import ClassPrior, DimensionPrior
 
@@ -110,8 +111,8 @@ def _parse_entry(cfg: PipelineConfig, key: str, raw: str) -> dict:
     """The field override that the line `key = raw` makes on `cfg`."""
     if key.startswith(_PRIOR_PREFIX):
         cls = key[len(_PRIOR_PREFIX) :]
-        if not cls:
-            raise ValueError("empty class name")
+        if not (cls.isascii() and cls.isprintable() and cls.split() == [cls]):
+            raise ValueError(f"class name must be one printable ASCII word, got {cls!r}")
         parts = raw.split()
         if len(parts) != 3:
             raise ValueError(f"prior needs 'width length height', got {raw!r}")
@@ -151,9 +152,9 @@ def parse_config_text(text: str, base: PipelineConfig | None = None) -> Pipeline
 def load_config(path) -> PipelineConfig:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        text = dataio._read_text(path, "config", "utf-8")
+    except (DataIOError, ParseError) as exc:
+        raise ConfigError(str(exc)) from exc
     try:
         return parse_config_text(text)
     except ConfigError as exc:

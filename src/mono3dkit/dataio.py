@@ -15,12 +15,17 @@ error names the file and line.  Every number in a text file must be
 finite; which values are valid beyond that, the domain types
 (:class:`Detection2D`, :class:`CameraIntrinsics`) decide.  All
 serialization is locale-independent.
+
+Every read goes through :func:`_read_bytes` and every write through
+:func:`_write_bytes`, which replaces a plain file whole via ``<name>.tmp``
+and writes a symlink or a non-regular target (FIFO, device) in place.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import sys
 from dataclasses import dataclass, field
@@ -78,13 +83,32 @@ class KittiLabelRecord:
     line: Optional[int] = field(default=None, compare=False, repr=False)
 
 
+def _read_bytes(path: Path, what: str) -> bytes:
+    """The bytes of `path`; an unreadable file is a DataIOError naming it."""
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise DataIOError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def _write_bytes(path: Path, data: bytes, what: str) -> None:
+    """Write `data` to `path` whole; a failed write is a DataIOError naming `path`."""
+    in_place = path.is_symlink() or (path.exists() and not path.is_file())
+    target = path if in_place else path.with_name(path.name + ".tmp")
+    try:
+        target.write_bytes(data)
+        if not in_place:
+            os.replace(target, path)
+    except OSError as exc:
+        if not in_place:
+            target.unlink(missing_ok=True)
+        raise DataIOError(f"cannot write {what} file {path}: {exc}") from exc
+
+
 def _read_text(path: Path, what: str, encoding: str) -> str:
     """The text of `path`; an unreadable file is a DataIOError, and a byte
     that is not `encoding` text a ParseError at its line."""
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise DataIOError(f"cannot read {what} file {path}: {exc}") from exc
+    data = _read_bytes(path, what)
     try:
         return data.decode(encoding)
     except UnicodeDecodeError as exc:
@@ -157,12 +181,8 @@ def read_labels(path) -> List[KittiLabelRecord]:
 
 
 def write_labels(records, path) -> None:
-    path = Path(path)
     body = "".join(format_label_line(rec) + "\n" for rec in records)
-    try:
-        path.write_text(body, encoding="ascii")
-    except OSError as exc:
-        raise DataIOError(f"cannot write label file {path}: {exc}") from exc
+    _write_bytes(Path(path), body.encode("ascii"), "label")
 
 
 @dataclass(frozen=True)
@@ -201,10 +221,7 @@ def read_calib(path) -> CalibRecord:
 
 def read_depth(path) -> DepthRaster:
     path = Path(path)
-    try:
-        blob = path.read_bytes()
-    except OSError as exc:
-        raise DataIOError(f"cannot read depth file {path}: {exc}") from exc
+    blob = _read_bytes(path, "depth")
     header = len(DEPTH_MAGIC) + 8
     if len(blob) < header:
         raise DataIOError(f"{path}: truncated header ({len(blob)} bytes)")
@@ -224,15 +241,10 @@ def read_depth(path) -> DepthRaster:
 
 def write_depth(values, path) -> None:
     """Write a depth raster; encode invalid pixels as NaN (or <= 0) values."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"depth raster must be 2-d, got shape {arr.shape}")
+    arr = DepthRaster.from_values(values).values
     height, width = arr.shape
     blob = DEPTH_MAGIC + struct.pack("<II", width, height) + arr.astype("<f4").tobytes()
-    try:
-        Path(path).write_bytes(blob)
-    except OSError as exc:
-        raise DataIOError(f"cannot write depth file {path}: {exc}") from exc
+    _write_bytes(Path(path), blob, "depth")
 
 
 @dataclass(frozen=True)
@@ -339,7 +351,4 @@ def write_detections(images: Dict[str, List[DetectionEntry]], path) -> None:
                 obj["yaw"] = entry.yaw
             dets.append(obj)
         lines.append(json.dumps({"image": image, "detections": dets}))
-    try:
-        Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    except OSError as exc:
-        raise DataIOError(f"cannot write detection file {path}: {exc}") from exc
+    _write_bytes(Path(path), "".join(line + "\n" for line in lines).encode("utf-8"), "detection")

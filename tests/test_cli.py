@@ -1,6 +1,9 @@
 import collections
 import json
 import math
+import os
+import stat
+import threading
 from dataclasses import fields
 
 import numpy as np
@@ -513,6 +516,70 @@ class TestNormalizeCommand:
                      "--image-height", "480"]) == 2
 
 
+class TestOutputsAreWrittenWhole:
+    """No output is written before every input has succeeded, and each output file is replaced whole."""
+
+    def test_failed_rerun_leaves_out_unchanged(self, tmp_path, capsys):
+        fixtures.build_scene(tmp_path, n_images=3, seed=7)
+        out = tmp_path / "out"
+        assert run_pseudolabel(tmp_path, out) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        (tmp_path / "calib" / "000002.txt").unlink()
+        assert run_pseudolabel(tmp_path, out) == 2
+        assert "000002" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_failed_run_creates_no_out(self, tmp_path):
+        fixtures.build_scene(tmp_path, n_images=3, seed=7)
+        (tmp_path / "calib" / "000002.txt").unlink()
+        out = tmp_path / "out"
+        assert run_pseudolabel(tmp_path, out) == 2
+        assert not out.exists()
+
+    def test_failed_normalize_writes_nothing(self, tmp_path, capsys):
+        labels, calib = TestNormalizeCommand().make_labels(tmp_path)
+        (labels / "000001.txt").write_bytes((labels / "000000.txt").read_bytes())
+        out = tmp_path / "o"
+        assert main(["normalize", "--labels", str(labels), "--calib", str(calib), "--out", str(out),
+                     "--image-width", "640", "--image-height", "480"]) == 2
+        assert f"{calib / '000001.txt'}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_label_path_that_is_a_directory(self, tmp_path, capsys):
+        fixtures.build_scene(tmp_path, n_images=3, seed=7)
+        out = tmp_path / "out"
+        (out / "000001.txt").mkdir(parents=True)
+        assert run_pseudolabel(tmp_path, out) == 2
+        assert f"cannot write label file {out / '000001.txt'}" in capsys.readouterr().err
+        assert list(out.rglob("*.tmp")) == []
+
+    def test_report_in_missing_directory(self, tmp_path, capsys):
+        report = tmp_path / "missing" / "grad.json"
+        assert main(["gradcheck", "--points", "2", "--report", str(report)]) == 2
+        assert f"cannot write report file {report}" in capsys.readouterr().err
+        assert not report.parent.exists()
+
+    def test_report_through_symlink_keeps_the_link(self, tmp_path):
+        target, link = tmp_path / "grad.json", tmp_path / "link.json"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        assert main(["gradcheck", "--points", "2", "--report", str(link)]) == 0
+        assert link.is_symlink()
+        assert json.loads(target.read_text())["passed"] is True
+
+    def test_report_into_fifo_keeps_the_fifo(self, tmp_path):
+        fifo = tmp_path / "grad.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert main(["gradcheck", "--points", "2", "--report", str(fifo)]) == 0
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert json.loads(received[0])["passed"] is True
+
+
 class TestParserDefaults:
     def test_normalize_camera_defaults_come_from_pipeline_config(self):
         args = build_parser().parse_args(
@@ -615,8 +682,12 @@ class TestMalformedInputIsDataError:
             (b"score_threshold = 0.2\nprior.Car = nan 1 1\n", ["line 2", "prior.Car"]),
             (b"score_threshold = 0.2 \xff\n", ["c.cfg"]),
             (b"depth_window = 5\nscore_threshold = 5\n", ["c.cfg", "line 2", "score_threshold"]),
+            (b"score_threshold = 0.2\nvirtual_focal = 900 \xff\n", ["c.cfg:2: byte 0xff is not utf-8 text"]),
+            (b"prior.Traffic Cone = 0.5 0.5 0.8\n", ["line 1", "prior.Traffic Cone"]),
+            ("prior.Fußgänger = 0.66 0.84 1.76\n".encode(), ["line 1", "prior.Fu"]),
         ],
-        ids=["nan-focal", "negative-prior", "nan-prior", "0xff", "out-of-range"],
+        ids=["nan-focal", "negative-prior", "nan-prior", "0xff", "out-of-range", "0xff-line-2", "space-in-class",
+             "non-ascii-class"],
     )
     def test_config_file(self, tmp_path, capsys, text, expected):
         fixtures.build_scene(tmp_path, n_images=1, seed=12)

@@ -1,8 +1,11 @@
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mono3dkit import dataio
 from mono3dkit.dataio import (
     DETECTION_SCHEMA,
     DetectionEntry,
@@ -102,6 +105,15 @@ class TestLabels:
         [rec] = read_labels(path)
         assert rec.line == 2
         assert rec == record()
+
+    def test_unencodable_record_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "a.txt"
+        write_labels([record()], path)
+        before = path.read_bytes()
+        with pytest.raises(UnicodeEncodeError):
+            write_labels([record(), record(type="Fußgänger")], path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt"]
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "a.txt"
@@ -295,3 +307,21 @@ class TestDetections:
         with pytest.raises(ParseError) as err:
             read_detections(path)
         assert err.value.line == 2
+
+
+def test_two_helpers_are_the_only_file_access():
+    """dataio._read_bytes is the one place that reads a file and dataio._write_bytes the one that writes one."""
+    file_calls = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+    found = set()
+    for path in sorted(Path(dataio.__file__).parent.glob("*.py")):
+        stack = [(node, None) for node in ast.parse(path.read_text()).body]
+        while stack:
+            node, func = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                func = node.name
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in file_calls:
+                    found.add((path.name, func, name))
+            stack.extend((child, func) for child in ast.iter_child_nodes(node))
+    assert found == {("dataio.py", "_read_bytes", "read_bytes"), ("dataio.py", "_write_bytes", "write_bytes")}

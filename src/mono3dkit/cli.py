@@ -499,7 +499,15 @@ def main(argv=None) -> int:
         parser.print_help(sys.stderr)
         return 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone (`| head`); dataio reports its own OSErrors.
+        # Exit as a process killed by SIGPIPE.  With sys.stdout None, print()
+        # writes nothing and the exit flush skips the dead pipe.
+        sys.stdout = None
+        return 141
     except (ParseError, DataIOError, ConfigError, EmptyInputError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

@@ -189,9 +189,77 @@ class ProjectionPoint:
     conflict: bool = False
 
 
+# Most (row, lattice step, occluder) elements one block of the fallback test
+# holds, so its temporaries stay small however crowded the image is.
+_BLOCK_ELEMENTS = 1 << 16
+
+
 def _edge_array(dets: Sequence[Detection2D]) -> np.ndarray:
     """(N, 4) float64 rows of (left, top, right, bottom)."""
     return np.array([(d.left, d.top, d.right, d.bottom) for d in dets], dtype=np.float64).reshape(-1, 4)
+
+
+def _lattice(start: np.ndarray, stop: np.ndarray, grid: int) -> np.ndarray:
+    """(N, grid) rows equal bit for bit to ``np.linspace(start[i], stop[i], grid)``.
+
+    Given arrays, linspace uses its zero-step formula for every row as soon as
+    one row's step is 0, so rows with and without a zero step get one call each.
+    """
+    if grid > 1:
+        flat = (stop - start) / (grid - 1) == 0
+        if flat.any() and not flat.all():
+            out = np.empty((start.size, grid))
+            for part in (flat, ~flat):
+                out[part] = np.linspace(start[part], stop[part], grid, axis=1)
+            return out
+    return np.linspace(start, stop, grid, axis=1)
+
+
+def _projection_points(subjects: np.ndarray, occluders: np.ndarray, grid: int, *, skip_self: bool = False):
+    """The rule of :func:`select_projection_point` for every row of `subjects`.
+
+    `subjects` and `occluders` are (N, 4) and (M, 4) edge arrays.  With
+    `skip_self`, `occluders` is `subjects` and no row occludes itself (a twin
+    at another index still does).  Returns the arrays (u, v, occluded,
+    conflict): `occluded` marks the rows whose center another box strictly
+    contains, and `conflict` those of them whose whole lattice is occluded.
+    """
+    cu = (subjects[:, 0] + subjects[:, 2]) / 2.0
+    cv = (subjects[:, 1] + subjects[:, 3]) / 2.0
+    left, top, right, bottom = occluders.T
+    # Built in place: at N = M = 400 each (N, M) temporary is 160 kB.
+    covered = left < cu[:, None]
+    covered &= cu[:, None] < right
+    covered &= top < cv[:, None]
+    covered &= cv[:, None] < bottom
+    if skip_self:
+        np.fill_diagonal(covered, False)
+    occluded = covered.any(axis=1)
+    u, v, conflict = cu.copy(), cv.copy(), occluded.copy()
+    rows = np.flatnonzero(occluded)
+    if not rows.size:
+        return u, v, occluded, conflict
+    half_w = (subjects[rows, 2] - subjects[rows, 0]) / 4.0
+    half_h = (subjects[rows, 3] - subjects[rows, 1]) / 4.0
+    us = _lattice(cu[rows] - half_w, cu[rows] + half_w, grid)
+    vs = _lattice(cv[rows] - half_h, cv[rows] + half_h, grid)
+    step = max(1, _BLOCK_ELEMENTS // (len(occluders) * grid))
+    for lo in range(0, rows.size, step):
+        block = np.arange(lo, min(lo + step, rows.size))
+        bu, bv = us[block, :, None], vs[block, :, None]
+        in_u = (left < bu) & (bu < right)
+        in_v = (top < bv) & (bv < bottom)
+        if skip_self:
+            in_u[np.arange(block.size), :, rows[block]] = False
+        # Boolean matmul: hit[k, i, j] is true iff some occluder holds (us[j], vs[i]).
+        clear = ~(in_v @ in_u.transpose(0, 2, 1)).reshape(block.size, grid * grid)
+        found = clear.any(axis=1)
+        row, col = np.divmod(clear.argmax(axis=1), grid)
+        at = rows[block]
+        u[at] = np.where(found, us[block, col], u[at])
+        v[at] = np.where(found, vs[block, row], v[at])
+        conflict[at] = ~found
+    return u, v, occluded, conflict
 
 
 def select_projection_point(
@@ -208,24 +276,37 @@ def select_projection_point(
     If every candidate is occluded the center is returned with the conflict
     flag set; the caller decides what to do with it.
     """
-    if not isinstance(others, np.ndarray):
-        others = _edge_array(others)
-    left, top, right, bottom = others.T
-    cu, cv = det.center
-    if not ((left < cu) & (cu < right) & (top < cv) & (cv < bottom)).any():
-        return ProjectionPoint(cu, cv)
-    half_w = (det.right - det.left) / 4.0
-    half_h = (det.bottom - det.top) / 4.0
-    us = np.linspace(cu - half_w, cu + half_w, grid)
-    vs = np.linspace(cv - half_h, cv + half_h, grid)
-    in_u = (left[:, None] < us) & (us < right[:, None])
-    in_v = (top[:, None] < vs) & (vs < bottom[:, None])
-    # Boolean matmul: occluded[v, u] is true iff some occluder holds both.
-    clear = np.flatnonzero(~(in_v.T @ in_u))
-    if clear.size:
-        row, col = divmod(int(clear[0]), grid)
-        return ProjectionPoint(float(us[col]), float(vs[row]))
-    return ProjectionPoint(cu, cv, conflict=True)
+    others = np.asarray(others, dtype=np.float64) if isinstance(others, np.ndarray) else _edge_array(others)
+    u, v, _, conflict = _projection_points(_edge_array([det]), others, grid)
+    return ProjectionPoint(float(u[0]), float(v[0]), conflict=bool(conflict[0]))
+
+
+def _sample_depths(raster: DepthRaster, u: np.ndarray, v: np.ndarray, window: int) -> np.ndarray:
+    """The depth :func:`sample_depth` reads at each (u[i], v[i]); NaN where it has none.
+
+    One gather takes every window x window patch as float64.  Pixels that are
+    invalid or off the raster read as +inf, so after a row sort the valid
+    depths come first and the middle of each row's valid count is its median.
+    """
+    if window < 1 or window % 2 == 0:
+        raise ValueError(f"window must be odd and >= 1, got {window}")
+    # np.rint rounds half to even, as round() does; NaN and inf fail the range test.
+    col, row = np.rint(u), np.rint(v)
+    on_raster = (0 <= col) & (col < raster.width) & (0 <= row) & (row < raster.height)
+    offsets = np.arange(window) - window // 2
+    rows = np.where(on_raster, row, 0).astype(np.intp)[:, None] + offsets
+    cols = np.where(on_raster, col, 0).astype(np.intp)[:, None] + offsets
+    row_ok = (0 <= rows) & (rows < raster.height)
+    col_ok = (0 <= cols) & (cols < raster.width)
+    patch = raster.values[np.where(row_ok, rows, 0)[:, :, None], np.where(col_ok, cols, 0)[:, None, :]]
+    patch = patch.astype(np.float64, copy=False)
+    valid = on_raster[:, None, None] & row_ok[:, :, None] & col_ok[:, None, :] & (0 < patch) & (patch < np.inf)
+    patch[~valid] = np.inf
+    patch = np.sort(patch.reshape(u.size, window * window), axis=1)
+    count = valid.reshape(u.size, window * window).sum(axis=1)
+    at, mid = np.arange(u.size), count // 2
+    upper, lower = patch[at, mid], patch[at, np.maximum(mid - 1, 0)]
+    return np.where(count == 0, np.nan, np.where(count % 2 == 1, upper, (lower + upper) / 2))
 
 
 def sample_depth(raster: DepthRaster, u: float, v: float, window: int = 5) -> float:
@@ -237,23 +318,13 @@ def sample_depth(raster: DepthRaster, u: float, v: float, window: int = 5) -> fl
     Raises :class:`NoValidDepthError` when (u, v) is not finite, is off the
     raster, or the patch holds no valid pixel.
     """
-    if window < 1 or window % 2 == 0:
-        raise ValueError(f"window must be odd and >= 1, got {window}")
-    if not (math.isfinite(u) and math.isfinite(v)):
-        raise NoValidDepthError(f"point ({u}, {v}) is not finite")
-    col = int(round(float(u)))
-    row = int(round(float(v)))
-    if not (0 <= col < raster.width and 0 <= row < raster.height):
-        raise NoValidDepthError(f"point ({u}, {v}) outside raster {raster.width}x{raster.height}")
-    r = window // 2
-    r0, r1 = max(0, row - r), min(raster.height, row + r + 1)
-    c0, c1 = max(0, col - r), min(raster.width, col + r + 1)
-    # tolist() upcasts float32 to float64 exactly; NaN fails the range test.
-    depths = sorted(x for x in raster.values[r0:r1, c0:c1].ravel().tolist() if 0 < x < math.inf)
-    if not depths:
-        raise NoValidDepthError(f"no valid depth in {window}x{window} patch at ({col}, {row})")
-    mid = len(depths) // 2
-    return float(depths[mid] if len(depths) % 2 else (depths[mid - 1] + depths[mid]) / 2)
+    [depth] = _sample_depths(raster, np.array([u], dtype=np.float64), np.array([v], dtype=np.float64), window)
+    if math.isnan(depth):
+        raise NoValidDepthError(
+            f"no valid depth in the {window}x{window} patch at ({u}, {v})"
+            f" of the {raster.width}x{raster.height} raster"
+        )
+    return float(depth)
 
 
 def estimate_dimensions(
@@ -302,6 +373,7 @@ class LabelingDiagnostics:
     n_no_depth: int = 0
     n_no_prior: int = 0
     n_conflict: int = 0
+    n_fallback: int = 0  # kept detections whose bbox center another one occludes
     n_emitted: int = 0
 
 
@@ -330,10 +402,11 @@ def generate_pseudo_labels(
 ) -> LabelingResult:
     """Turn one image's detections into virtual-space 3D boxes.
 
-    Detections below `score_threshold` are eliminated up front.  For each
-    survivor: choose a projection point (other survivors act as occluders),
-    sample metric depth there, lift the point into virtual space, estimate
-    dimensions against the original intrinsics, and attach yaw and score.
+    Detections below `score_threshold` are eliminated up front.  The
+    survivors go through one array pass: choose every projection point
+    (other survivors act as occluders), sample metric depth at each, and
+    lift the points into virtual space.  Each box then gets its dimensions
+    against the original intrinsics, its yaw and its score.
     Detections whose point has no valid depth, falls off the raster, or
     whose class has no prior are dropped and counted.  Output is sorted by
     descending score (ties keep input order); identical inputs produce
@@ -359,35 +432,37 @@ def generate_pseudo_labels(
 
     vintr = geometry.make_virtual_intrinsics(intr, spec)
     edges = _edge_array([d for d, _ in kept])
+    us, vs, occluded, conflict = _projection_points(edges, edges, fallback_grid, skip_self=True)
+    zs = _sample_depths(depth, us, vs, depth_window)
+    has_depth = ~np.isnan(zs)
+    has_prior = np.array([prior.for_class(d.class_id) is not None for d, _ in kept], dtype=bool)
+    lift = np.flatnonzero(has_depth & has_prior)
+    diag.n_fallback = int(occluded.sum())
+    diag.n_conflict = int(conflict.sum())
+    diag.n_no_depth = int((~has_depth).sum())
+    diag.n_no_prior = int((has_depth & ~has_prior).sum())
+
+    u_v, v_v, z_v = geometry.to_virtual(us[lift], vs[lift], zs[lift], intr, spec)
+    center = geometry.backproject(u_v, v_v, z_v, vintr)
     labels = []
-    for idx, (det, yaw) in enumerate(kept):
-        others = np.concatenate((edges[:idx], edges[idx + 1 :]))
-        point = select_projection_point(det, others, grid=fallback_grid)
-        if point.conflict:
-            diag.n_conflict += 1
-        try:
-            z = sample_depth(depth, point.u, point.v, window=depth_window)
-        except NoValidDepthError:
-            diag.n_no_depth += 1
-            continue
-        if prior.for_class(det.class_id) is None:
-            diag.n_no_prior += 1
-            continue
+    # estimate_dimensions stays per row: numpy's cos/sin can differ from math's by 1 ulp.
+    points = zip(us[lift].tolist(), vs[lift].tolist(), zs[lift].tolist(), conflict[lift].tolist())
+    centers = zip(center.x.tolist(), center.y.tolist(), center.z.tolist())
+    for i, (u, v, z, flag), (x, y, z_virtual) in zip(lift.tolist(), points, centers):
+        det, yaw = kept[i]
         h, w, l = estimate_dimensions(det, z, yaw.yaw, intr, prior)
-        u_v, v_v, z_v = geometry.to_virtual(point.u, point.v, z, intr, spec)
-        center = geometry.backproject(u_v, v_v, z_v, vintr)
         box = Box3D(
             class_id=det.class_id,
-            x=center.x,
-            y=center.y + h / 2.0,
-            z=center.z,
+            x=x,
+            y=y + h / 2.0,
+            z=z_virtual,
             h=h,
             w=w,
             l=l,
             yaw=yaw.yaw,
             score=det.score,
         )
-        labels.append(PseudoLabel(box=box, source=det, point_u=point.u, point_v=point.v, conflict=point.conflict))
+        labels.append(PseudoLabel(box=box, source=det, point_u=u, point_v=v, conflict=flag))
 
     labels.sort(key=lambda entry: -entry.box.score)
     diag.n_emitted = len(labels)

@@ -3,13 +3,17 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import threading
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fixtures
+import mono3dkit
 from mono3dkit import dataio, eval3d, kernels
 from mono3dkit.cli import build_parser, main
 from mono3dkit.config import PipelineConfig
@@ -80,7 +84,10 @@ class TestPseudolabelCommand:
         assert run_pseudolabel(tmp_path, out) == 0
         assert sorted(p.stem for p in out.glob("*.txt")) == ids
         captured = capsys.readouterr().out
-        assert "[summary]" in captured
+        summary = captured.split("[summary]\n")[1].split("[config]")[0].splitlines()
+        assert [line.split(" = ")[0] for line in summary] == [
+            "images", "emitted", "below_threshold", "no_depth", "no_prior", "conflicts"
+        ]
         assert "images = 4" in captured
         # effective config echoed for provenance
         assert "score_threshold = 0.1" in captured
@@ -578,6 +585,31 @@ class TestOutputsAreWrittenWhole:
         assert not reader.is_alive()
         assert stat.S_ISFIFO(fifo.lstat().st_mode)
         assert json.loads(received[0])["passed"] is True
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("unbuffered", ["1", None])
+    def test_closed_pipe_exits_141_after_writing_every_label(self, tmp_path, unbuffered):
+        """`mono3dkit pseudolabel ... | head -2`: the reader closes its end before the summary."""
+        ids = fixtures.build_scene(tmp_path, n_images=3, seed=7)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(mono3dkit.__file__).parents[1])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "mono3dkit", "pseudolabel",
+                 "--detections", str(tmp_path / "detections"), "--depth", str(tmp_path / "depth"),
+                 "--calib", str(tmp_path / "calib"), "--out", str(tmp_path / "out")],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == b""
+        assert sorted(p.stem for p in (tmp_path / "out").glob("*.txt")) == sorted(ids)
 
 
 class TestParserDefaults:

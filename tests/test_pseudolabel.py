@@ -1,9 +1,11 @@
+import collections
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mono3dkit import geometry
+from mono3dkit import geometry, pseudolabel
 from mono3dkit.errors import MisalignedInputsError, NonPositiveDepthError, NoValidDepthError
 from mono3dkit.geometry import CameraIntrinsics, VirtualCameraSpec
 from mono3dkit.pseudolabel import (
@@ -12,7 +14,9 @@ from mono3dkit.pseudolabel import (
     Detection2D,
     DepthRaster,
     DimensionPrior,
+    LabelingDiagnostics,
     OrientationEstimate,
+    PseudoLabel,
     estimate_dimensions,
     generate_pseudo_labels,
     sample_depth,
@@ -49,6 +53,60 @@ def scalar_projection_point(subject, others, grid):
             if not any(inside(o, u, v) for o in others):
                 return float(u), float(v), False
     return cu, cv, True
+
+
+def window_depths(raster, u, v, window):
+    """The valid float64 depths in the window at (round(u), round(v)); None off the raster."""
+    if not (math.isfinite(u) and math.isfinite(v)):
+        return None
+    col, row = round(u), round(v)
+    if not (0 <= col < raster.width and 0 <= row < raster.height):
+        return None
+    r = window // 2
+    patch = raster.values[max(0, row - r) : row + r + 1, max(0, col - r) : col + r + 1].astype(np.float64)
+    return patch[np.isfinite(patch) & (patch > 0)]
+
+
+def median_depth(raster, u, v, window):
+    """Reference: np.median of the window's valid depths, or None when it has none."""
+    valid = window_depths(raster, u, v, window)
+    return float(np.median(valid)) if valid is not None and valid.size else None
+
+
+def per_detection_labels(dets, depth, yaws, intr, spec, prior, threshold, window, grid):
+    """Reference: generate_pseudo_labels as one scalar pass per detection over the two oracles above."""
+    diag = LabelingDiagnostics(n_detections=len(dets))
+    kept = [(d, OrientationEstimate(y).yaw) for d, y in zip(dets, yaws) if d.score >= threshold]
+    diag.n_below_threshold = len(dets) - len(kept)
+    vintr = geometry.make_virtual_intrinsics(intr, spec)
+    labels = []
+    for i, (d, yaw) in enumerate(kept):
+        u, v, conflict = scalar_projection_point(d, [o for j, (o, _) in enumerate(kept) if j != i], grid)
+        diag.n_conflict += conflict
+        diag.n_fallback += conflict or (u, v) != d.center
+        z = median_depth(depth, u, v, window)
+        if z is None:
+            diag.n_no_depth += 1
+            continue
+        if prior.for_class(d.class_id) is None:
+            diag.n_no_prior += 1
+            continue
+        h, w, l = estimate_dimensions(d, z, yaw, intr, prior)
+        center = geometry.backproject(*geometry.to_virtual(u, v, z, intr, spec), vintr)
+        box = Box3D(d.class_id, center.x, center.y + h / 2.0, center.z, h, w, l, yaw, d.score)
+        labels.append(PseudoLabel(box=box, source=d, point_u=u, point_v=v, conflict=conflict))
+    labels.sort(key=lambda entry: -entry.box.score)
+    diag.n_emitted = len(labels)
+    return labels, diag
+
+
+def speckled_raster(rng, height, width, dtype):
+    """Random depths with about a third of the pixels NaN, inf, 0 or negative."""
+    values = rng.uniform(0.5, 60.0, size=(height, width))
+    values[rng.random(values.shape) < 0.05] = 7.25  # ties
+    mask = rng.random(values.shape) < 0.35
+    values[mask] = rng.choice([np.nan, np.inf, 0.0, -3.5], size=int(mask.sum()))
+    return DepthRaster(values=values.astype(dtype))
 
 
 def crowded_scene(rng, n):
@@ -485,3 +543,103 @@ class TestGeneratePseudoLabels:
         [box] = result.boxes
         center = geometry.backproject(150.0, 200.0, 10.0, INTR)
         assert box.y == pytest.approx(center.y + box.h / 2.0, rel=1e-12)
+
+
+class TestOneArrayPassPerImage:
+    """generate_pseudo_labels' array pass equals a per-detection run of the scalar oracles."""
+
+    SPEC = VirtualCameraSpec(focal=900.0, width=1274, height=644)
+
+    def scene(self, rng, n):
+        """A crowded scene with twins, occluders whose edges pass through a center, scores
+        on both sides of the default threshold and a class without a prior."""
+        dets = crowded_scene(rng, n)
+        for subject in dets[: n // 8]:
+            cu, cv = subject.center
+            dets += [det(cu, subject.top, cu + 4, subject.bottom), det(subject.left, cv - 4, subject.right, cv)]
+        scores = rng.choice([0.05, 0.3, 0.9], size=len(dets)).tolist()
+        classes = rng.choice(["Pedestrian", "Pedestrian", "Car", "Unicorn"], size=len(dets)).tolist()
+        return [replace(d, score=s, class_id=c) for d, s, c in zip(dets, scores, classes)]
+
+    def assert_equal_to_oracle(self, dets, raster, yaws, window, grid):
+        result = generate_pseudo_labels(
+            dets, raster, yaws, INTR, self.SPEC, PRIOR, depth_window=window, fallback_grid=grid
+        )
+        labels, diag = per_detection_labels(dets, raster, yaws, INTR, self.SPEC, PRIOR, 0.1, window, grid)
+        assert result.labels == labels
+        assert result.diagnostics == diag
+        return diag
+
+    @pytest.mark.parametrize("grid", [1, 2, 3, 5])
+    def test_crowded_scenes(self, grid):
+        rng = np.random.default_rng(50 + grid)
+        totals = collections.Counter()
+        for n, dtype in ((40, np.float32), (80, np.float64), (120, np.float32)):
+            dets = self.scene(rng, n)
+            yaws = rng.uniform(-4.0, 4.0, len(dets)).tolist()
+            # Narrower and shorter than the scene, so some points fall off the raster.
+            raster = speckled_raster(rng, 240, 3 * n, dtype)
+            for window in (1, 3, 5):
+                diag = self.assert_equal_to_oracle(dets, raster, yaws, window, grid)
+                totals.update({k: v for k, v in vars(diag).items() if k != "n_detections"})
+        clean = totals["n_emitted"] + totals["n_no_depth"] + totals["n_no_prior"] - totals["n_fallback"]
+        assert min(totals["n_no_depth"], totals["n_no_prior"], totals["n_below_threshold"], clean) > 0, totals
+        assert 0 < totals["n_conflict"] < totals["n_fallback"], totals
+
+    def test_depth_windows_equal_np_median(self):
+        rng = np.random.default_rng(61)
+        raster = speckled_raster(rng, 13, 11, np.float32)
+        raster.values[:4, :4] = np.nan  # all-invalid windows up to 5x5 at (1, 1)
+        # Pixel centers and half-pixel ties (rounded to even), on and off the raster.
+        steps = np.arange(-1.5, 14.0, 0.5)
+        us, vs = [a.ravel().tolist() for a in np.meshgrid(steps, steps)]
+        us += [math.nan, math.inf, 2.0, -math.inf]
+        vs += [2.0, 2.0, math.nan, 3.0]
+        seen = set()
+        for window in (1, 3, 5):
+            depths = pseudolabel._sample_depths(raster, np.array(us), np.array(vs), window).tolist()
+            for u, v, z in zip(us, vs, depths):
+                valid = window_depths(raster, u, v, window)
+                if valid is None or not valid.size:
+                    assert math.isnan(z)
+                    seen.add("off" if valid is None else "empty")
+                else:
+                    assert z == float(np.median(valid))
+                    seen.add("odd" if valid.size % 2 else "even")
+        assert seen == {"off", "empty", "odd", "even"}
+
+    def test_no_kept_and_single_detection(self):
+        raster = speckled_raster(np.random.default_rng(62), 480, 640, np.float64)
+        dets = [det(100, 100, 200, 300, score=0.05), det(120, 110, 180, 250, score=0.09)]
+        for scene in ([], dets, dets + [det(90, 90, 210, 320, score=0.5)]):
+            yaws = [0.4] * len(scene)
+            for window, grid in ((1, 1), (5, 5)):
+                self.assert_equal_to_oracle(scene, raster, yaws, window, grid)
+
+    def test_empty_arrays(self):
+        empty = np.empty((0, 4))
+        assert [a.shape for a in pseudolabel._projection_points(empty, empty, 5, skip_self=True)] == [(0,)] * 4
+        raster = DepthRaster.from_values(np.ones((5, 5)))
+        assert pseudolabel._sample_depths(raster, np.empty(0), np.empty(0), 3).shape == (0,)
+
+    def test_one_row_per_block(self, monkeypatch):
+        rng = np.random.default_rng(63)
+        dets = self.scene(rng, 60)
+        yaws = [0.0] * len(dets)
+        raster = speckled_raster(rng, 240, 200, np.float64)
+        monkeypatch.setattr(pseudolabel, "_BLOCK_ELEMENTS", 1)
+        self.assert_equal_to_oracle(dets, raster, yaws, 3, 3)
+
+    @pytest.mark.parametrize("grid", [1, 2, 3, 4, 5, 6])
+    def test_lattice_rows_equal_scalar_linspace(self, grid):
+        """Given arrays, np.linspace switches every row to its zero-step formula as soon
+        as one row's step is 0 (here a 2 px wide box at 1e16), which for 4 or 6 points
+        rounds the other rows differently.  Each row must equal its scalar call."""
+        rng = np.random.default_rng(64)
+        start = np.round(rng.uniform(0.0, 150.0, 200), 2)
+        stop = start + np.round(rng.uniform(2.0, 60.0, 200), 2)
+        start[7], stop[7] = 1e16 - 0.5, 1e16 + 0.5
+        assert start[7] == stop[7]
+        lattice = pseudolabel._lattice(start, stop, grid)
+        for row, a, b in zip(lattice.tolist(), start.tolist(), stop.tolist()):
+            assert row == np.linspace(a, b, grid).tolist()

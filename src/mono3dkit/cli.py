@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, eval3d, geometry, kernels, pseudolabel
-from .config import PipelineConfig, load_config
+from .config import _NUMBER_TYPES, PipelineConfig, load_config
 from .errors import ConfigError, DataIOError, EmptyInputError, InvalidIntrinsicsError, ParseError, PipelineError
 
 __all__ = ["main", "build_parser"]
@@ -77,17 +77,18 @@ def _gather_detections(det_dir: Path):
     return images
 
 
-def _label_record(entry: pseudolabel.PseudoLabel, sx: float, sy: float) -> dataio.KittiLabelRecord:
-    box, det = entry.box, entry.source
+def _label_record(entry: pseudolabel.PseudoLabel) -> dataio.KittiLabelRecord:
+    box = entry.box
+    left, top, right, bottom = entry.bbox
     return dataio.KittiLabelRecord(
         type=box.class_id,
         truncated=0.0,
         occluded=0,
         alpha=_alpha(box.yaw, box.x, box.z),
-        left=det.left * sx,
-        top=det.top * sy,
-        right=det.right * sx,
-        bottom=det.bottom * sy,
+        left=left,
+        top=top,
+        right=right,
+        bottom=bottom,
         h=box.h,
         w=box.w,
         l=box.l,
@@ -97,6 +98,17 @@ def _label_record(entry: pseudolabel.PseudoLabel, sx: float, sy: float) -> datai
         rotation_y=box.yaw,
         score=box.score,
     )
+
+
+def _write_label_dir(out_dir: Path, labels) -> None:
+    """Write each `{path: records}` label file, first refusing any *.txt in
+    `out_dir` that this run would not write, so no earlier run's label mixes in."""
+    stale = sorted(set(out_dir.glob("*.txt")) - labels.keys())
+    if stale:
+        raise DataIOError(f"{stale[0]} is not a label this run writes; remove it or choose an empty --out")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for path, records in labels.items():
+        dataio.write_labels(records, path)
 
 
 def cmd_pseudolabel(args) -> int:
@@ -129,14 +141,10 @@ def cmd_pseudolabel(args) -> int:
             depth_window=cfg.depth_window,
             fallback_grid=cfg.fallback_grid,
         )
-        vintr = result.virtual_intrinsics
-        labels[out_dir / f"{image_id}.txt"] = [_label_record(e, vintr.sx, vintr.sy) for e in result.labels]
+        labels[out_dir / f"{image_id}.txt"] = [_label_record(e) for e in result.labels]
         for f in fields(totals):
             setattr(totals, f.name, getattr(totals, f.name) + getattr(result.diagnostics, f.name))
-    # Nothing is written until every image is labelled, so a failed run leaves --out as it was.
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for path, records in labels.items():
-        dataio.write_labels(records, path)
+    _write_label_dir(out_dir, labels)
 
     _echo(
         [
@@ -357,17 +365,10 @@ def cmd_filter(args) -> int:
 
 
 def _transform_record(rec, intr, spec, vintr, invert):
-    if invert:
-        sx, sy = 1.0 / vintr.sx, 1.0 / vintr.sy
-    else:
-        sx, sy = vintr.sx, vintr.sy
-    out = replace(
-        rec,
-        left=rec.left * sx,
-        top=rec.top * sy,
-        right=rec.right * sx,
-        bottom=rec.bottom * sy,
-    )
+    to_pixel = vintr.source_pixel if invert else vintr.pixel
+    left, top = to_pixel(rec.left, rec.top)
+    right, bottom = to_pixel(rec.right, rec.bottom)
+    out = replace(rec, left=left, top=top, right=right, bottom=bottom)
     if rec.z <= 0:
         # Placeholder entries (e.g. DontCare) carry no usable location.
         return out
@@ -402,9 +403,7 @@ def cmd_normalize(args) -> int:
             _transform_record(rec, intr, spec, vintr, args.invert)
             for rec in dataio.read_labels(label_path)
         ]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for path, records in labels.items():
-        dataio.write_labels(records, path)
+    _write_label_dir(out_dir, labels)
     _echo(
         [f"files = {len(labels)}", f"direction = {'from-virtual' if args.invert else 'to-virtual'}"],
         header="summary",
@@ -436,14 +435,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output label directory")
     p.add_argument("--config", default=None, help="key = value config file")
     p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; has no effect")
-    p.add_argument("--score-threshold", dest="score_threshold", type=float, default=None)
-    p.add_argument("--virtual-focal", dest="virtual_focal", type=float, default=None)
-    p.add_argument("--virtual-width", dest="virtual_width", type=int, default=None)
-    p.add_argument("--virtual-height", dest="virtual_height", type=int, default=None)
-    p.add_argument("--depth-window", dest="depth_window", type=int, default=None)
-    p.add_argument("--fallback-grid", dest="fallback_grid", type=int, default=None)
-    p.add_argument("--clamp-alpha", dest="clamp_alpha", type=float, default=None)
-    p.add_argument("--clamp-beta", dest="clamp_beta", type=float, default=None)
+    for name, kind in _NUMBER_TYPES.items():
+        p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=kind, default=None)
     p.set_defaults(func=cmd_pseudolabel)
 
     p = sub.add_parser("eval", help="KITTI-protocol AP over label directories")

@@ -99,24 +99,26 @@ class VirtualCameraSpec:
 class VirtualIntrinsics:
     """Derived intrinsics of the virtual camera for one source camera.
 
-    sx = W_virtual / W_source and sy = H_virtual / H_source; the principal
-    point is the source one scaled by (sx, sy).  Exposes fx/fy aliases so
-    :func:`project` and :func:`backproject` accept either intrinsics type.
+    sx = W_virtual / W_source and sy = H_virtual / H_source.  :meth:`pixel` and
+    :meth:`source_pixel` are the one map of pixels between the source and the
+    virtual image.  fx = fy = the virtual focal, so :func:`project` and
+    :func:`backproject` accept either intrinsics type.
     """
 
-    focal: float
+    fx: float
+    fy: float
     cx: float
     cy: float
     sx: float
     sy: float
 
-    @property
-    def fx(self):
-        return self.focal
+    def pixel(self, u, v):
+        """The virtual-image pixel of source pixel (u, v)."""
+        return u * self.sx, v * self.sy
 
-    @property
-    def fy(self):
-        return self.focal
+    def source_pixel(self, u_v, v_v):
+        """The source pixel of virtual-image pixel (u_v, v_v); inverse of :meth:`pixel`."""
+        return u_v / self.sx, v_v / self.sy
 
 
 @dataclass(frozen=True)
@@ -154,26 +156,25 @@ def make_virtual_intrinsics(intr: CameraIntrinsics, spec: VirtualCameraSpec) -> 
     """Scale factors and principal point of the virtual camera for `intr`."""
     sx = spec.width / intr.width
     sy = spec.height / intr.height
-    return VirtualIntrinsics(focal=spec.focal, cx=intr.cx * sx, cy=intr.cy * sy, sx=sx, sy=sy)
+    return VirtualIntrinsics(fx=spec.focal, fy=spec.focal, cx=intr.cx * sx, cy=intr.cy * sy, sx=sx, sy=sy)
 
 
 def to_virtual(u, v, z_cam, intr: CameraIntrinsics, spec: VirtualCameraSpec):
     """Map a pixel (u, v) with camera depth z_cam into virtual coordinates.
 
-    Pixels scale with the resolution ratio; depth scales with the focal
-    ratio, so the virtual depth satisfies z_v * fx == z_cam * focal.
+    Pixels move by :meth:`VirtualIntrinsics.pixel`; depth scales with the
+    focal ratio, so the virtual depth satisfies z_v * fx == z_cam * focal.
     """
     _check_depth(z_cam)
-    return u * (spec.width / intr.width), v * (spec.height / intr.height), z_cam * spec.focal / intr.fx
+    u_v, v_v = make_virtual_intrinsics(intr, spec).pixel(u, v)
+    return u_v, v_v, z_cam * spec.focal / intr.fx
 
 
 def from_virtual(u_v, v_v, z_v, intr: CameraIntrinsics, spec: VirtualCameraSpec) -> CamPoint3:
     """Back-project virtual coordinates into a source-camera 3D point."""
     _check_depth(z_v)
-    sx = spec.width / intr.width
-    sy = spec.height / intr.height
-    z_cam = z_v * intr.fx / spec.focal
-    return CamPoint3((u_v / sx - intr.cx) * z_cam / intr.fx, (v_v / sy - intr.cy) * z_cam / intr.fy, z_cam)
+    u, v = make_virtual_intrinsics(intr, spec).source_pixel(u_v, v_v)
+    return backproject(u, v, z_v * intr.fx / spec.focal, intr)
 
 
 def project(point: CamPoint3, camera):

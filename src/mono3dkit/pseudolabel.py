@@ -21,7 +21,7 @@ import numpy as np
 
 from . import geometry
 from .errors import MisalignedInputsError, NonPositiveDepthError, NoValidDepthError
-from .geometry import CameraIntrinsics, VirtualCameraSpec, VirtualIntrinsics, wrap_angle
+from .geometry import CameraIntrinsics, VirtualCameraSpec, wrap_angle
 
 __all__ = [
     "Detection2D",
@@ -361,6 +361,7 @@ class PseudoLabel:
 
     box: Box3D
     source: Detection2D
+    bbox: tuple  # `source`'s (left, top, right, bottom) in virtual pixels
     point_u: float
     point_v: float
     conflict: bool
@@ -381,7 +382,6 @@ class LabelingDiagnostics:
 class LabelingResult:
     labels: list = field(default_factory=list)
     diagnostics: LabelingDiagnostics = field(default_factory=LabelingDiagnostics)
-    virtual_intrinsics: Optional[VirtualIntrinsics] = None
 
     @property
     def boxes(self):
@@ -405,13 +405,12 @@ def generate_pseudo_labels(
     Detections below `score_threshold` are eliminated up front.  The
     survivors go through one array pass: choose every projection point
     (other survivors act as occluders), sample metric depth at each, and
-    lift the points into virtual space.  Each box then gets its dimensions
-    against the original intrinsics, its yaw and its score.
+    lift the points and the 2D boxes into virtual space.  Each box then gets
+    its dimensions against the original intrinsics, its yaw and its score.
     Detections whose point has no valid depth, falls off the raster, or
     whose class has no prior are dropped and counted.  Output is sorted by
     descending score (ties keep input order); identical inputs produce
-    bit-identical output.  The result also carries the virtual intrinsics
-    the boxes were lifted with.
+    bit-identical output.
 
     `yaws` is index-aligned with `dets` and may hold floats or
     :class:`OrientationEstimate` values.
@@ -444,11 +443,14 @@ def generate_pseudo_labels(
 
     u_v, v_v, z_v = geometry.to_virtual(us[lift], vs[lift], zs[lift], intr, spec)
     center = geometry.backproject(u_v, v_v, z_v, vintr)
+    left, top = vintr.pixel(edges[lift, 0], edges[lift, 1])
+    right, bottom = vintr.pixel(edges[lift, 2], edges[lift, 3])
+    bboxes = zip(left.tolist(), top.tolist(), right.tolist(), bottom.tolist())
     labels = []
     # estimate_dimensions stays per row: numpy's cos/sin can differ from math's by 1 ulp.
     points = zip(us[lift].tolist(), vs[lift].tolist(), zs[lift].tolist(), conflict[lift].tolist())
     centers = zip(center.x.tolist(), center.y.tolist(), center.z.tolist())
-    for i, (u, v, z, flag), (x, y, z_virtual) in zip(lift.tolist(), points, centers):
+    for i, (u, v, z, flag), (x, y, z_virtual), bbox in zip(lift.tolist(), points, centers, bboxes):
         det, yaw = kept[i]
         h, w, l = estimate_dimensions(det, z, yaw.yaw, intr, prior)
         box = Box3D(
@@ -462,8 +464,8 @@ def generate_pseudo_labels(
             yaw=yaw.yaw,
             score=det.score,
         )
-        labels.append(PseudoLabel(box=box, source=det, point_u=u, point_v=v, conflict=flag))
+        labels.append(PseudoLabel(box=box, source=det, bbox=bbox, point_u=u, point_v=v, conflict=flag))
 
     labels.sort(key=lambda entry: -entry.box.score)
     diag.n_emitted = len(labels)
-    return LabelingResult(labels=labels, diagnostics=diag, virtual_intrinsics=vintr)
+    return LabelingResult(labels=labels, diagnostics=diag)

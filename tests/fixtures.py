@@ -60,3 +60,42 @@ def build_scene(root, n_images=20, seed=123, dets_per_image=(1, 6)):
 
     write_detections(images, det_dir / "scene.jsonl")
     return ids
+
+
+def build_fixed_scene(root):
+    """Create a two-image scene under `root` by arithmetic alone, with no RNG,
+    so that no change to numpy's random stream can move it.  Returns the ids.
+
+    Each image has a row of boxes plus a twin (a conflict), a box whose center
+    a wider one covers (a fallback-grid hit), a score below the default
+    threshold, a class with no prior and a box centered off the raster.
+    """
+    for d in ("detections", "depth", "calib"):
+        (root / d).mkdir(parents=True, exist_ok=True)
+    cols, rows = np.arange(RASTER_W), np.arange(RASTER_H)
+    images = {}
+    for i in range(2):
+        image = f"{i:06d}"
+        depth = 6.0 + 0.04 * cols[None, :] + 0.025 * rows[:, None] + 1.5 * i
+        depth[:, :8] = np.nan
+        depth[::7, ::5] = -1.0
+        write_depth(depth, root / "depth" / f"{image}.dpr")
+        fx = 610.25 + 37.5 * i
+        write_calib(root / "calib" / f"{image}.txt", fx, fx * 1.0125, 158.5 + 3.25 * i, 121.75 - 2.5 * i)
+        boxes = [
+            (CLASSES[k % 3], 9.5 + 31.7 * k + 4.1 * i, 40.3 + 11.9 * (k % 4), 0.15 + 0.09 * k, -3.0 + 0.7 * k)
+            for k in range(8)
+        ]
+        boxes += [
+            (CLASSES[0], 9.5 + 4.1 * i, 40.3, 0.12, 0.25),  # twin of box 0
+            (CLASSES[1], 90.0, 45.0, 0.93, 1.5),  # covers box 2's center
+            (CLASSES[2], 150.2, 60.6, 0.07, -0.5),  # below the threshold
+            ("Unicorn", 200.4, 30.2, 0.66, 0.0),  # no prior
+            (CLASSES[0], -50.0, 100.0, 0.55, 2.0),  # centered off the raster
+        ]
+        images[image] = [
+            DetectionEntry(Detection2D(cls, left, top, left + 58.3, top + 71.9, round(score, 2)), yaw)
+            for cls, left, top, score, yaw in boxes
+        ]
+    write_detections(images, root / "detections" / "scene.jsonl")
+    return sorted(images)

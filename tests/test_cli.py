@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import pytest
 
 import fixtures
 import mono3dkit
-from mono3dkit import dataio, eval3d, kernels
+from mono3dkit import cli, dataio, eval3d, kernels
 from mono3dkit.cli import build_parser, main
 from mono3dkit.config import PipelineConfig
 from mono3dkit.dataio import read_labels, write_labels
@@ -23,6 +24,14 @@ from mono3dkit.kernels import LossReport
 
 def dir_bytes(path):
     return {p.name: p.read_bytes() for p in sorted(path.glob("*.txt"))}
+
+
+def dir_digest(path):
+    """sha256 of the names and bytes of every label file in `path`."""
+    h = hashlib.sha256()
+    for name, data in dir_bytes(path).items():
+        h.update(name.encode() + b"\0" + data)
+    return h.hexdigest()
 
 
 def run_pseudolabel(root, out, extra=()):
@@ -117,6 +126,17 @@ class TestPseudolabelCommand:
         assert "000001" in capsys.readouterr().err
         # partial outputs removed on failure
         assert list(out.glob("*.txt")) == []
+
+    @pytest.mark.parametrize("field", [f for f in fields(PipelineConfig) if f.name != "priors"], ids=lambda f: f.name)
+    def test_every_scalar_config_key_is_a_flag(self, field):
+        value = CONFIG_KEY_CHANGES[field.name].split(" = ")[1]
+        args = build_parser().parse_args(
+            ["pseudolabel", "--detections", "d", "--depth", "p", "--calib", "c", "--out", "o",
+             f"--{field.name.replace('_', '-')}", value]
+        )
+        parsed = getattr(args, field.name)
+        assert type(parsed) is type(field.default) and parsed != field.default
+        assert getattr(cli._load_pipeline_config(args), field.name) == parsed
 
     def test_flag_overrides_config_file(self, tmp_path, capsys):
         fixtures.build_scene(tmp_path, n_images=2, seed=8)
@@ -536,6 +556,27 @@ class TestOutputsAreWrittenWhole:
         assert "000002" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_rerun_with_fewer_images_is_refused(self, tmp_path, capsys):
+        fixtures.build_scene(tmp_path / "three", n_images=3, seed=7)
+        fixtures.build_scene(tmp_path / "two", n_images=2, seed=7)
+        out = tmp_path / "out"
+        assert run_pseudolabel(tmp_path / "three", out) == 0
+        assert run_pseudolabel(tmp_path / "three", out) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert run_pseudolabel(tmp_path / "two", out) == 2
+        assert f"{out / '000002.txt'} is not a label this run writes" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_normalize_refuses_a_stale_label(self, tmp_path, capsys):
+        labels, calib = TestNormalizeCommand().make_labels(tmp_path)
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "stale.txt").write_text("")
+        assert main(["normalize", "--labels", str(labels), "--calib", str(calib), "--out", str(out),
+                     "--image-width", "640", "--image-height", "480"]) == 2
+        assert f"{out / 'stale.txt'} is not a label this run writes" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["stale.txt"]
+
     def test_failed_run_creates_no_out(self, tmp_path):
         fixtures.build_scene(tmp_path, n_images=3, seed=7)
         (tmp_path / "calib" / "000002.txt").unlink()
@@ -585,6 +626,30 @@ class TestOutputsAreWrittenWhole:
         assert not reader.is_alive()
         assert stat.S_ISFIFO(fifo.lstat().st_mode)
         assert json.loads(received[0])["passed"] is True
+
+
+class TestOutputBytes:
+    """The label bytes of a fixed scene under the default, anisotropic virtual camera
+    (320x240 to 1274x644).  A change that moves any of them must update these on purpose.
+
+    Both normalize directions read the pseudolabel output, so each digest
+    depends only on its own command's code.
+    """
+
+    DIGESTS = {
+        "pseudolabel": "e75ee0ca0d20829db55c46a383944829fe90bdfc7071928f7433ab7593cd7cf9",
+        "normalize": "336e8a84eb319becbea867b1e7772788b54b44b981c640428de8c04e45c26aa7",
+        "normalize --invert": "666ac7dd5d7c500f2a5e4e329ebd14374f4bce6e1db46da21ecdb517400ea777",
+    }
+
+    def test_digests(self, tmp_path):
+        fixtures.build_fixed_scene(tmp_path)
+        assert run_pseudolabel(tmp_path, tmp_path / "pseudolabel") == 0
+        for name, extra in (("normalize", []), ("normalize --invert", ["--invert"])):
+            assert main(["normalize", "--labels", str(tmp_path / "pseudolabel"), "--calib", str(tmp_path / "calib"),
+                         "--out", str(tmp_path / name), "--image-width", str(fixtures.RASTER_W),
+                         "--image-height", str(fixtures.RASTER_H), *extra]) == 0
+        assert {name: dir_digest(tmp_path / name) for name in self.DIGESTS} == self.DIGESTS
 
 
 class TestClosedStdout:

@@ -1,8 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mono3dkit import geometry
 from mono3dkit.errors import InvalidIntrinsicsError, NonPositiveDepthError
 from mono3dkit.geometry import (
     AugmentConfig,
@@ -34,7 +37,7 @@ class TestVirtualIntrinsics:
         assert vi.sx == pytest.approx(1274 / 1242, rel=1e-12)
         assert vi.sy == pytest.approx(644 / 375, rel=1e-12)
         assert vi.cx == pytest.approx(609.6 * 1274 / 1242, rel=1e-12)
-        assert vi.focal == 900.0
+        assert vi.fx == vi.fy == 900.0
 
     def test_identity_spec_gives_unit_scales(self):
         vi = make_virtual_intrinsics(KITTI_LIKE, identity_spec(KITTI_LIKE))
@@ -122,6 +125,71 @@ class TestVirtualTransforms:
             to_virtual(1.0, 1.0, 0.0, KITTI_LIKE, CANON)
         with pytest.raises(NonPositiveDepthError):
             from_virtual(1.0, 1.0, -2.0, KITTI_LIKE, CANON)
+
+
+class TestPixelMap:
+    """VirtualIntrinsics.pixel and source_pixel are the one map between source and virtual pixels."""
+
+    def uvz(self, seed):
+        rng = np.random.default_rng(seed)
+        return (
+            rng.uniform(0, KITTI_LIKE.width, 1000),
+            rng.uniform(0, KITTI_LIKE.height, 1000),
+            rng.uniform(0.5, 80.0, 1000),
+        )
+
+    def test_source_pixel_inverts_pixel(self):
+        vi = make_virtual_intrinsics(KITTI_LIKE, CANON)
+        u, v, _ = self.uvz(12)
+        back_u, back_v = vi.source_pixel(*vi.pixel(u, v))
+        np.testing.assert_allclose(back_u, u, rtol=1e-15)
+        np.testing.assert_allclose(back_v, v, rtol=1e-15)
+
+    def test_principal_point_is_the_mapped_source_one(self):
+        for spec in (CANON, identity_spec(KITTI_LIKE), VirtualCameraSpec(focal=500.0, width=333, height=999)):
+            vi = make_virtual_intrinsics(KITTI_LIKE, spec)
+            assert (vi.cx, vi.cy) == vi.pixel(KITTI_LIKE.cx, KITTI_LIKE.cy)
+
+    def test_to_virtual_moves_pixels_by_the_map(self):
+        vi = make_virtual_intrinsics(KITTI_LIKE, CANON)
+        u, v, z = self.uvz(13)
+        u_v, v_v, _ = to_virtual(u, v, z, KITTI_LIKE, CANON)
+        assert np.array_equal(np.stack([u_v, v_v]), np.stack(vi.pixel(u, v)))
+
+    def test_from_virtual_is_backproject_of_the_source_pixel(self):
+        vi = make_virtual_intrinsics(KITTI_LIKE, CANON)
+        u_v, v_v, z_v = self.uvz(14)
+        p = from_virtual(u_v, v_v, z_v, KITTI_LIKE, CANON)
+        q = backproject(*vi.source_pixel(u_v, v_v), z_v * KITTI_LIKE.fx / CANON.focal, KITTI_LIKE)
+        for a, b in ((p.x, q.x), (p.y, q.y), (p.z, q.z)):
+            assert np.array_equal(a, b)
+
+
+def test_only_the_map_knows_the_scale_factors():
+    """make_virtual_intrinsics is the one code that divides image sizes, and
+    VirtualIntrinsics.pixel/source_pixel the only code that reads sx or sy."""
+    found = set()
+    for path in sorted(Path(geometry.__file__).parent.glob("*.py")):
+        stack = [(node, None) for node in ast.parse(path.read_text()).body]
+        while stack:
+            node, func = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                func = node.name
+            if isinstance(node, ast.Attribute) and node.attr in ("sx", "sy"):
+                found.add((path.name, func, node.attr))
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+                sides = {getattr(side, "attr", None) for side in (node.left, node.right)}
+                if sides in ({"width"}, {"height"}):
+                    found.add((path.name, func, f"{sides.pop()} ratio"))
+            stack.extend((child, func) for child in ast.iter_child_nodes(node))
+    assert found == {
+        ("geometry.py", "make_virtual_intrinsics", "width ratio"),
+        ("geometry.py", "make_virtual_intrinsics", "height ratio"),
+        ("geometry.py", "pixel", "sx"),
+        ("geometry.py", "pixel", "sy"),
+        ("geometry.py", "source_pixel", "sx"),
+        ("geometry.py", "source_pixel", "sy"),
+    }
 
 
 class TestPinhole:

@@ -94,7 +94,8 @@ def per_detection_labels(dets, depth, yaws, intr, spec, prior, threshold, window
         h, w, l = estimate_dimensions(d, z, yaw, intr, prior)
         center = geometry.backproject(*geometry.to_virtual(u, v, z, intr, spec), vintr)
         box = Box3D(d.class_id, center.x, center.y + h / 2.0, center.z, h, w, l, yaw, d.score)
-        labels.append(PseudoLabel(box=box, source=d, point_u=u, point_v=v, conflict=conflict))
+        bbox = (*vintr.pixel(d.left, d.top), *vintr.pixel(d.right, d.bottom))
+        labels.append(PseudoLabel(box=box, source=d, bbox=bbox, point_u=u, point_v=v, conflict=conflict))
     labels.sort(key=lambda entry: -entry.box.score)
     diag.n_emitted = len(labels)
     return labels, diag
@@ -431,8 +432,9 @@ class TestGeneratePseudoLabels:
         # with the identity camera the chosen point is the bbox center
         assert (entry.point_u, entry.point_v) == (150.0, 200.0)
 
-    def test_virtual_camera_reprojection_consistency(self):
-        spec = VirtualCameraSpec(focal=900.0, width=1274, height=644)
+    ANISOTROPIC_SPEC = VirtualCameraSpec(focal=900.0, width=1274, height=644)
+
+    def anisotropic_result(self):
         rng = np.random.default_rng(20)
         dets = [
             det(
@@ -442,13 +444,17 @@ class TestGeneratePseudoLabels:
             for l, t in rng.uniform(10, 300, size=(6, 2))
         ]
         yaws = [float(rng.uniform(-math.pi, math.pi)) for _ in dets]
-        result = generate_pseudo_labels(dets, self.constant_raster(8.0), yaws, INTR, spec, PRIOR)
-        vintr = geometry.make_virtual_intrinsics(INTR, spec)
-        assert result.boxes
+        result = generate_pseudo_labels(dets, self.constant_raster(8.0), yaws, INTR, self.ANISOTROPIC_SPEC, PRIOR)
+        assert len(result.labels) == len(dets)
+        return result, geometry.make_virtual_intrinsics(INTR, self.ANISOTROPIC_SPEC)
+
+    def test_virtual_camera_reprojection_consistency(self):
+        result, vintr = self.anisotropic_result()
         for entry in result.labels:
             u, v = geometry.project(entry.box.center_point(), vintr)
-            assert abs(u - entry.point_u * vintr.sx) <= 0.5
-            assert abs(v - entry.point_v * vintr.sy) <= 0.5
+            point_u, point_v = vintr.pixel(entry.point_u, entry.point_v)
+            assert abs(u - point_u) <= 0.5
+            assert abs(v - point_v) <= 0.5
 
     def test_height_law_and_clamp_invariants(self):
         rng = np.random.default_rng(21)
@@ -494,10 +500,12 @@ class TestGeneratePseudoLabels:
         assert result.boxes == []
         assert result.diagnostics.n_no_depth == 1
 
-    def test_result_carries_virtual_intrinsics(self):
-        spec = VirtualCameraSpec(focal=900.0, width=1274, height=644)
-        result = generate_pseudo_labels([], self.constant_raster(), [], INTR, spec, PRIOR)
-        assert result.virtual_intrinsics == geometry.make_virtual_intrinsics(INTR, spec)
+    def test_bbox_is_the_mapped_source_box(self):
+        result, vintr = self.anisotropic_result()
+        assert vintr.sx != vintr.sy
+        for entry in result.labels:
+            d = entry.source
+            assert entry.bbox == (*vintr.pixel(d.left, d.top), *vintr.pixel(d.right, d.bottom))
 
     def test_unknown_class_dropped_and_counted(self):
         dets = [det(100, 100, 200, 300, cls="Unicorn")]

@@ -45,7 +45,6 @@ from .eval3d import (
     matches_difficulty,
 )
 from .geometry import (
-    AugmentConfig,
     CameraIntrinsics,
     CamPoint3,
     VirtualCameraSpec,
@@ -54,10 +53,6 @@ from .geometry import (
     from_virtual,
     make_virtual_intrinsics,
     project,
-    rotate_point,
-    rotation_matrix,
-    sample_viewpoint,
-    sample_virtual_camera,
     to_virtual,
 )
 from .kernels import (

@@ -26,16 +26,11 @@ __all__ = [
     "VirtualCameraSpec",
     "VirtualIntrinsics",
     "CamPoint3",
-    "AugmentConfig",
     "make_virtual_intrinsics",
     "to_virtual",
     "from_virtual",
     "project",
     "backproject",
-    "sample_virtual_camera",
-    "sample_viewpoint",
-    "rotation_matrix",
-    "rotate_point",
     "wrap_angle",
 ]
 
@@ -130,28 +125,6 @@ class CamPoint3:
     z: float
 
 
-@dataclass(frozen=True)
-class AugmentConfig:
-    """Ranges for focal-length and viewpoint augmentation.
-
-    Focal lengths are drawn uniformly from [focal_min, focal_max]; viewpoint
-    perturbations are per-axis uniform in +-max_* radians (3 degrees by
-    default).
-    """
-
-    focal_min: float
-    focal_max: float
-    max_yaw: float = math.radians(3.0)
-    max_pitch: float = math.radians(3.0)
-    max_roll: float = math.radians(3.0)
-
-    def __post_init__(self):
-        if not (0 < self.focal_min <= self.focal_max):
-            raise ValueError(f"invalid focal range [{self.focal_min}, {self.focal_max}]")
-        if min(self.max_yaw, self.max_pitch, self.max_roll) < 0:
-            raise ValueError("angle ranges must be >= 0")
-
-
 def make_virtual_intrinsics(intr: CameraIntrinsics, spec: VirtualCameraSpec) -> VirtualIntrinsics:
     """Scale factors and principal point of the virtual camera for `intr`."""
     sx = spec.width / intr.width
@@ -188,42 +161,3 @@ def backproject(u, v, z, camera) -> CamPoint3:
     """Inverse of :func:`project` at known depth z."""
     _check_depth(z)
     return CamPoint3((u - camera.cx) * z / camera.fx, (v - camera.cy) * z / camera.fy, z)
-
-
-def sample_virtual_camera(base: VirtualCameraSpec, seed, aug: AugmentConfig) -> VirtualCameraSpec:
-    """Draw a virtual camera with focal uniform in the augment range.
-
-    Deterministic for a given seed; resolution is inherited from `base`.
-    """
-    rng = np.random.default_rng(seed)
-    focal = float(rng.uniform(aug.focal_min, aug.focal_max))
-    return VirtualCameraSpec(focal=focal, width=base.width, height=base.height)
-
-
-def sample_viewpoint(seed, aug: AugmentConfig):
-    """Draw a (yaw, pitch, roll) perturbation, per-axis uniform."""
-    rng = np.random.default_rng(seed)
-    return (
-        float(rng.uniform(-aug.max_yaw, aug.max_yaw)),
-        float(rng.uniform(-aug.max_pitch, aug.max_pitch)),
-        float(rng.uniform(-aug.max_roll, aug.max_roll)),
-    )
-
-
-def rotation_matrix(yaw: float, pitch: float, roll: float) -> np.ndarray:
-    """Rotation about the camera axes: yaw about Y (vertical), pitch about X,
-    roll about Z (optical axis), composed roll @ pitch @ yaw."""
-    cy, sy = math.cos(yaw), math.sin(yaw)
-    cp, sp = math.cos(pitch), math.sin(pitch)
-    cr, sr = math.cos(roll), math.sin(roll)
-    r_yaw = np.array([[cy, 0.0, sy], [0.0, 1.0, 0.0], [-sy, 0.0, cy]])
-    r_pitch = np.array([[1.0, 0.0, 0.0], [0.0, cp, -sp], [0.0, sp, cp]])
-    r_roll = np.array([[cr, -sr, 0.0], [sr, cr, 0.0], [0.0, 0.0, 1.0]])
-    return r_roll @ r_pitch @ r_yaw
-
-
-def rotate_point(point: CamPoint3, rotation: np.ndarray) -> CamPoint3:
-    """Apply a 3x3 rotation to a camera-frame point (array fields supported)."""
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rotation.tolist()
-    x, y, z = point.x, point.y, point.z
-    return CamPoint3(r00 * x + r01 * y + r02 * z, r10 * x + r11 * y + r12 * z, r20 * x + r21 * y + r22 * z)

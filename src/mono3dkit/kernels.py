@@ -114,17 +114,15 @@ class MaskPair:
         if self.pred.size == 0:
             raise EmptyInputError("masks must be non-empty")
         for name, arr in (("pred", self.pred), ("target", self.target)):
-            if np.any(arr < 0) or np.any(arr > 1):
+            # Written so that NaN, which fails every comparison, is rejected.
+            if not (arr.min() >= 0 and arr.max() <= 1):
                 raise ValueError(f"{name} values must lie in [0, 1]")
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows; it is exp(-x) where x >= 0 and exp(x) elsewhere.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _softplus(x):
@@ -172,8 +170,8 @@ def query_gate(queries, context, params: GateParams, grad_output=None):
     q_flat = q.reshape(-1, d)
     e_sum = e_flat.sum(axis=0)
     grad_context = e_sum @ w_g
-    grad_weight = np.hstack([e_flat.T @ q_flat, np.outer(e_sum, g)])
-    value = float(np.sum(cot * gated))
+    grad_weight = np.concatenate((e_flat.T @ q_flat, np.outer(e_sum, g)), axis=1)
+    value = float((cot * gated).sum())
     report = LossReport(
         value=value,
         grads={
@@ -201,8 +199,9 @@ def diversity_loss(queries) -> LossReport:
     b, n_q, _ = q.shape
     if n_q < 2:
         return LossReport(value=0.0, grads={"queries": np.zeros_like(q)}, notes=("single-query",))
-    norms = np.linalg.norm(q, axis=2)
-    if np.any(norms < 1e-12):
+    # np.linalg.norm's own arithmetic, without its per-call overhead
+    norms = np.sqrt((q * q).sum(axis=2))
+    if norms.min() < 1e-12:
         raise DegenerateQueryError("query with zero norm")
     unit = q / norms[..., None]
     total = unit.sum(axis=1)
@@ -261,8 +260,8 @@ def dice_loss(pair: MaskPair, smooth: float = 1e-6) -> LossReport:
     if smooth <= 0:
         raise ValueError(f"smooth must be > 0, got {smooth}")
     p, g = pair.pred, pair.target
-    num = 2.0 * float(np.sum(p * g)) + smooth
-    den = float(np.sum(p) + np.sum(g)) + smooth
+    num = 2.0 * float((p * g).sum()) + smooth
+    den = float(p.sum() + g.sum()) + smooth
     value = 1.0 - num / den
     grad = -(2.0 * g * den - num) / (den * den)
     return LossReport(value=float(value), grads={"pred": grad})
@@ -277,10 +276,10 @@ def bce_loss(pair: MaskPair, clip: float = 1e-7) -> LossReport:
     if not (0 < clip < 0.5):
         raise ValueError(f"clip must be in (0, 0.5), got {clip}")
     p, g = pair.pred, pair.target
-    pc = np.clip(p, clip, 1.0 - clip)
-    value = float(np.mean(-(g * np.log(pc) + (1.0 - g) * np.log1p(-pc))))
-    inside = (p > clip) & (p < 1.0 - clip)
-    grad = np.where(inside, (-g / pc + (1.0 - g) / (1.0 - pc)) / p.size, 0.0)
+    pc = p.clip(clip, 1.0 - clip)
+    value = float((-(g * np.log(pc) + (1.0 - g) * np.log1p(-pc))).sum() / p.size)
+    grad = (-g / pc + (1.0 - g) / (1.0 - pc)) / p.size
+    grad[(p <= clip) | (p >= 1.0 - clip)] = 0.0
     return LossReport(value=value, grads={"pred": grad})
 
 
@@ -375,7 +374,7 @@ def l2_reg(params: Sequence, weight: float) -> LossReport:
     grads = {}
     for i, p in enumerate(params):
         arr = np.asarray(p, dtype=float)
-        value += weight * float(np.sum(arr * arr))
+        value += weight * float((arr * arr).sum())
         grads[f"param_{i}"] = 2.0 * weight * arr
     return LossReport(value=value, grads=grads)
 
@@ -386,31 +385,42 @@ def finite_diff_check(fn, inputs: dict, h: float = 1e-5) -> float:
     `fn(**inputs)` must return a :class:`LossReport`; every input named in
     its grads dict is probed coordinate by coordinate with step h.  The
     error is |analytic - numeric| / max(1, |analytic|, |numeric|), i.e.
-    absolute near zero and relative for large gradients.
+    absolute near zero and relative for large gradients.  A non-finite
+    analytic gradient, probe value or error makes the result inf.
+
+    Each probed input is copied once; its coordinates are moved to v + h
+    and v - h in place and restored, so the caller's inputs are untouched.
+    Array inputs reach `fn` as float arrays, scalar inputs as floats.
     """
     if h <= 0:
         raise ValueError(f"h must be > 0, got {h}")
     base = fn(**inputs)
+    args = dict(inputs)
     worst = 0.0
     for name, x0 in inputs.items():
         if name not in base.grads:
             continue
-        x = np.asarray(x0, dtype=float)
-        scalar = np.ndim(x0) == 0
+        x = np.array(x0, dtype=float)
+        scalar = x.ndim == 0
         analytic = np.asarray(base.grads[name], dtype=float).reshape(-1)
+        args[name] = x
         for idx in range(x.size):
-            xp = np.array(x, dtype=float)
-            xm = np.array(x, dtype=float)
-            xp.flat[idx] += h
-            xm.flat[idx] -= h
-            args_p = dict(inputs)
-            args_m = dict(inputs)
-            args_p[name] = float(xp) if scalar else xp
-            args_m[name] = float(xm) if scalar else xm
-            numeric = (fn(**args_p).value - fn(**args_m).value) / (2.0 * h)
+            v = float(x.flat[idx])
+            values = []
+            for probe in (v + h, v - h):
+                x.flat[idx] = probe
+                if scalar:
+                    args[name] = probe
+                values.append(fn(**args).value)
+            x.flat[idx] = v
+            numeric = (values[0] - values[1]) / (2.0 * h)
             a = float(analytic[idx])
             err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
+            if not math.isfinite(err):
+                # max() would keep `worst` over a NaN; a NaN or inf anywhere fails.
+                return math.inf
             worst = max(worst, err)
+        args[name] = x0
     return float(worst)
 
 
@@ -431,7 +441,7 @@ def _suite_query_gate(rng, h):
 
 def _suite_diversity(rng, h):
     queries = rng.normal(size=(2, 4, 8))
-    while np.any(np.linalg.norm(queries, axis=2) < 0.5):
+    while np.sqrt((queries * queries).sum(axis=2)).min() < 0.5:
         queries = rng.normal(size=(2, 4, 8))
     return finite_diff_check(lambda queries: diversity_loss(queries), {"queries": queries}, h=h)
 

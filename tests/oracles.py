@@ -236,3 +236,44 @@ def central_difference(fn, x, h=1e-5):
         xm.flat[idx] -= h
         grad.flat[idx] = (fn(xp) - fn(xm)) / (2.0 * h)
     return grad
+
+
+def copy_per_probe_finite_diff_check(fn, inputs, h=1e-5):
+    """The finite-difference check as first written: two fresh copies of
+    the probed input and two fresh argument dicts for every coordinate.
+
+    The library's version perturbs one copy in place; both must return the
+    same float for finite gradients and values.
+    """
+    base = fn(**inputs)
+    worst = 0.0
+    for name, x0 in inputs.items():
+        if name not in base.grads:
+            continue
+        x = np.asarray(x0, dtype=float)
+        scalar = np.ndim(x0) == 0
+        analytic = np.asarray(base.grads[name], dtype=float).reshape(-1)
+        for idx in range(x.size):
+            xp = np.array(x, dtype=float)
+            xm = np.array(x, dtype=float)
+            xp.flat[idx] += h
+            xm.flat[idx] -= h
+            args_p = dict(inputs)
+            args_m = dict(inputs)
+            args_p[name] = float(xp) if scalar else xp
+            args_m[name] = float(xm) if scalar else xm
+            numeric = (fn(**args_p).value - fn(**args_m).value) / (2.0 * h)
+            a = float(analytic[idx])
+            err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
+            worst = max(worst, err)
+    return float(worst)
+
+
+def two_branch_sigmoid(x):
+    """Logistic sigmoid evaluated separately on each sign, by boolean masks."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out

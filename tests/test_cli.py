@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -401,6 +402,23 @@ class TestGradcheckCommand:
         report = tmp_path / "grad.json"
         assert main(["gradcheck", "--points", "2", "--report", str(report)]) == 3
         assert json.loads(report.read_text())["passed"] is False
+
+    def test_nan_gradient_fails(self, monkeypatch, tmp_path, capsys):
+        real = kernels.dice_loss
+
+        def broken(pair, smooth=1e-6):
+            rep = real(pair, smooth=smooth)
+            return LossReport(value=rep.value, grads={"pred": rep.grads["pred"] * math.nan})
+
+        monkeypatch.setattr(kernels, "dice_loss", broken)
+        report = tmp_path / "grad.json"
+        assert main(["gradcheck", "--points", "2", "--report", str(report)]) == 3
+        out = capsys.readouterr().out
+        assert re.search(r"^dice_loss +max_rel_error=inf FAIL$", out, re.M)
+        assert re.search(r"^region_loss +max_rel_error=inf FAIL$", out, re.M)
+        payload = json.loads(report.read_text())
+        assert payload["passed"] is False
+        assert payload["kernels"]["dice_loss"] == {"max_rel_error": math.inf, "passed": False}
 
 
 class TestStatsCommand:

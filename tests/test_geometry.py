@@ -8,7 +8,6 @@ import pytest
 from mono3dkit import geometry
 from mono3dkit.errors import InvalidIntrinsicsError, NonPositiveDepthError
 from mono3dkit.geometry import (
-    AugmentConfig,
     CameraIntrinsics,
     CamPoint3,
     VirtualCameraSpec,
@@ -16,10 +15,6 @@ from mono3dkit.geometry import (
     from_virtual,
     make_virtual_intrinsics,
     project,
-    rotate_point,
-    rotation_matrix,
-    sample_viewpoint,
-    sample_virtual_camera,
     to_virtual,
 )
 
@@ -269,49 +264,3 @@ class TestScalarArrayAgreement:
         fn = self.TRANSFORMS[name]
         assert math.isnan(fn(1.0, 2.0, math.nan)[-1])
         assert np.isnan(fn(np.array([1.0]), np.array([2.0]), np.array([math.nan]))[-1]).all()
-
-
-class TestAugmentation:
-    def test_degenerate_range_is_constant(self):
-        aug = AugmentConfig(focal_min=900.0, focal_max=900.0)
-        for seed in range(5):
-            assert sample_virtual_camera(CANON, seed, aug).focal == 900.0
-
-    def test_deterministic_for_seed(self):
-        aug = AugmentConfig(focal_min=600.0, focal_max=1200.0)
-        a = sample_virtual_camera(CANON, 42, aug)
-        b = sample_virtual_camera(CANON, 42, aug)
-        assert a == b
-
-    def test_sample_mean_near_range_center(self):
-        aug = AugmentConfig(focal_min=600.0, focal_max=1200.0)
-        draws = [sample_virtual_camera(CANON, seed, aug).focal for seed in range(10_000)]
-        assert abs(np.mean(draws) - 900.0) <= 0.02 * 900.0
-
-    def test_invalid_range_rejected(self):
-        with pytest.raises(ValueError):
-            AugmentConfig(focal_min=1200.0, focal_max=600.0)
-        with pytest.raises(ValueError):
-            AugmentConfig(focal_min=-5.0, focal_max=600.0)
-
-    def test_viewpoint_within_limits_and_deterministic(self):
-        aug = AugmentConfig(focal_min=900.0, focal_max=900.0)
-        a = sample_viewpoint(7, aug)
-        assert a == sample_viewpoint(7, aug)
-        assert all(abs(angle) <= math.radians(3.0) for angle in a)
-
-    def test_rotation_matrix_orthonormal(self):
-        r = rotation_matrix(0.03, -0.02, 0.01)
-        assert np.allclose(r @ r.T, np.eye(3), atol=1e-12)
-        assert np.linalg.det(r) == pytest.approx(1.0, rel=1e-12)
-
-    def test_rotate_point_round_trip(self):
-        r = rotation_matrix(0.05, 0.02, -0.04)
-        p = CamPoint3(1.0, -2.0, 10.0)
-        q = rotate_point(rotate_point(p, r), r.T)
-        assert q.x == pytest.approx(p.x, abs=1e-12)
-        assert q.y == pytest.approx(p.y, abs=1e-12)
-        assert q.z == pytest.approx(p.z, abs=1e-12)
-
-    def test_zero_angles_identity(self):
-        assert np.allclose(rotation_matrix(0.0, 0.0, 0.0), np.eye(3))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from mono3dkit import kernels
 from mono3dkit.errors import (
     DegenerateQueryError,
     EmptyInputError,
@@ -230,6 +231,13 @@ class TestMaskLosses:
         err = finite_diff_check(lambda pred: bce_loss(MaskPair(pred, g)), {"pred": p})
         assert err < 1e-5
 
+    def test_bce_gradient_is_zero_where_the_clip_saturates(self):
+        clip = 1e-7
+        p = np.array([0.0, clip, 0.5, 1.0 - clip, 1.0])
+        grad = bce_loss(MaskPair(p, np.full(5, 0.3)), clip=clip).grads["pred"]
+        assert grad[[0, 1, 3, 4]].tolist() == [0.0] * 4
+        assert grad[2] == pytest.approx((-0.3 / 0.5 + 0.7 / 0.5) / 5)
+
     def test_mask_pair_validation(self):
         with pytest.raises(ShapeMismatchError):
             MaskPair(np.zeros((2, 2)), np.zeros((2, 3)))
@@ -237,6 +245,13 @@ class TestMaskLosses:
             MaskPair(np.full((2, 2), 1.5), np.zeros((2, 2)))
         with pytest.raises(EmptyInputError):
             MaskPair(np.zeros((0,)), np.zeros((0,)))
+
+    @pytest.mark.parametrize("side", ["pred", "target"])
+    def test_mask_pair_rejects_nan(self, side):
+        masks = {"pred": [0.5, 0.5], "target": [0.5, 0.5]}
+        masks[side] = [math.nan, 0.5]
+        with pytest.raises(ValueError, match=f"{side} values must lie in"):
+            MaskPair(**masks)
 
 
 class TestRegionLoss:
@@ -395,6 +410,78 @@ class TestFiniteDiffCheck:
         with pytest.raises(ValueError):
             finite_diff_check(lambda x: LossReport(0.0, {}), {"x": np.ones(1)}, h=0.0)
 
+    def test_nan_gradient_fails(self):
+        def fn(x):
+            return LossReport(value=float(np.sum(x**2)), grads={"x": np.where(x > 1.5, math.nan, 2.0 * x)})
+
+        assert finite_diff_check(fn, {"x": np.array([1.0, 2.0, 1.0])}) == math.inf
+
+    def test_nan_value_fails(self):
+        def fn(x):
+            value = float(np.sum(x**2))
+            return LossReport(value=math.nan if x[1] != 2.0 else value, grads={"x": 2.0 * x})
+
+        assert finite_diff_check(fn, {"x": np.array([1.0, 2.0, 1.0])}) == math.inf
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kernel", sorted(kernels._SUITE))
+    def test_in_place_probes_match_copy_per_probe_oracle(self, monkeypatch, kernel, seed):
+        real = kernels.finite_diff_check
+        checked = []
+
+        def both(fn, inputs, h):
+            before = {name: np.array(x, copy=True) for name, x in inputs.items()}
+            got = real(fn, inputs, h=h)
+            for name, x in inputs.items():
+                assert np.asarray(x).tobytes() == before[name].tobytes(), f"{name} was modified"
+            checked.append((got, oracles.copy_per_probe_finite_diff_check(fn, inputs, h=h)))
+            return got
+
+        monkeypatch.setattr(kernels, "finite_diff_check", both)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, list(kernels._SUITE).index(kernel)]))
+        for _ in range(2):
+            kernels._SUITE[kernel](rng, 1e-5)
+        assert len(checked) == 2
+        for got, want in checked:
+            assert got == want
+
+    def test_caller_input_untouched_when_fn_raises_mid_probe(self):
+        def fn(x):
+            if x[0] != 1.0:
+                raise RuntimeError("probe")
+            return LossReport(value=float(x.sum()), grads={"x": np.ones_like(x)})
+
+        x = np.array([1.0, 2.0])
+        with pytest.raises(RuntimeError):
+            finite_diff_check(fn, {"x": x})
+        assert x.tolist() == [1.0, 2.0]
+
+    def test_probed_scalar_inputs_reach_fn_as_floats(self):
+        calls = []
+
+        def fn(a, b):
+            calls.append((type(a), type(b)))
+            return LossReport(value=a * a * b, grads={"a": 2.0 * a * b, "b": a * a + 0.25})
+
+        inputs = {"a": 1.5, "b": np.array(2.0)}
+        err = finite_diff_check(fn, inputs)
+        # base call, two probes of a, then two probes of b
+        assert calls == [(float, np.ndarray)] * 3 + [(float, float)] * 2
+        assert err == oracles.copy_per_probe_finite_diff_check(fn, inputs)
+        assert err == pytest.approx(0.25 / 2.5)
+        assert inputs["b"].shape == () and inputs["b"] == 2.0
+
+
+class TestSigmoid:
+    def test_matches_two_branch_formula_bit_for_bit(self):
+        mags = [0.0, 1e-300, 1.0, 36.0, 710.0, 800.0, math.inf]
+        x = np.array(mags + [-m for m in mags] + [math.nan])
+        got, want = kernels._sigmoid(x), oracles.two_branch_sigmoid(x)
+        # A NaN's sign bit carries no value; every other result must match exactly.
+        number = ~np.isnan(want)
+        assert got[number].tobytes() == want[number].tobytes()
+        assert np.isnan(got[~number]).all()
+
 
 class TestGradientSuite:
     def test_all_kernels_pass_bound(self):
@@ -413,3 +500,15 @@ class TestGradientSuite:
 
     def test_deterministic(self):
         assert run_gradient_suite(seed=3, points=2) == run_gradient_suite(seed=3, points=2)
+
+    def test_nan_gradient_is_reported_as_inf(self, monkeypatch):
+        real = kernels.depth_kl
+
+        def broken(gd):
+            rep = real(gd)
+            return LossReport(value=rep.value, grads={"mean": math.nan, "std": rep.grads["std"]})
+
+        monkeypatch.setattr(kernels, "depth_kl", broken)
+        results = run_gradient_suite(seed=0, points=3)
+        assert results["depth_kl"] == math.inf
+        assert all(err < GRADIENT_ERROR_BOUND for name, err in results.items() if name != "depth_kl")

@@ -199,6 +199,8 @@ def cmd_eval(args) -> int:
     cfg = eval3d.MatchConfig(iou_threshold=iou, metric=args.metric)
 
     gt_files = sorted(gt_dir.glob("*.txt"))
+    if not gt_files:
+        raise DataIOError(f"no label files in {gt_dir}")
     gt_records_per_image, frames_all = [], []
     for gt_path in gt_files:
         pred_path = pred_dir / gt_path.name

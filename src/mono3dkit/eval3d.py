@@ -115,20 +115,31 @@ def matches_difficulty(bbox_height: float, occluded: int, truncated: float, leve
     )
 
 
-def _bev_corners(box: Box3D) -> np.ndarray:
-    """Ground-plane footprint corners (x, z), counter-clockwise."""
+def _bev_corners(box: Box3D) -> list:
+    """Ground-plane footprint corners (x, z), counter-clockwise.
+
+    Python floats, not numpy scalars: the clipping loop's scalar operations
+    cost about ten times as much on ``np.float64``, for the same bits.
+    """
     c, s = math.cos(box.yaw), math.sin(box.yaw)
-    hl, hw = box.l / 2.0, box.w / 2.0
+    x, z = float(box.x), float(box.z)
+    hl, hw = float(box.l) / 2.0, float(box.w) / 2.0
     local = ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))
-    return np.array([(box.x + lx * c + lz * s, box.z - lx * s + lz * c) for lx, lz in local])
+    return [(x + lx * c + lz * s, z - lx * s + lz * c) for lx, lz in local]
 
 
 def _polygon_area(points) -> float:
+    """Shoelace area, summed left to right in Python floats, so the bits do
+    not depend on the BLAS kernel, the CPU or the memory layout of `points`."""
     if len(points) < 3:
         return 0.0
-    arr = np.asarray(points, dtype=float)
-    x, y = arr[:, 0], arr[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, 1)) - np.dot(y, np.roll(x, 1))))
+    a = b = 0.0
+    px, py = points[-1]
+    for x, y in points:
+        a += x * py
+        b += y * px
+        px, py = x, y
+    return 0.5 * abs(float(a - b))
 
 
 def _clip_polygon(subject, clip):
@@ -137,7 +148,7 @@ def _clip_polygon(subject, clip):
     Points on a clip edge count as inside, so clipping a polygon against
     itself returns the polygon.
     """
-    output = [tuple(p) for p in subject]
+    output = list(subject)
     n = len(clip)
     for i in range(n):
         if not output:
@@ -269,6 +280,7 @@ def _match_frame(frame: EvalFrame, cfg: MatchConfig, ious: np.ndarray):
     )
     if ignored.shape != (len(frame.gts),):
         raise ValueError(f"gt_ignored must have length {len(frame.gts)}")
+    ignored = ignored.tolist()
     classes = {b.class_id for b in frame.preds} | {b.class_id for b in frame.gts}
     if len(classes) > 1:
         raise ValueError(f"ap_r40 evaluates one class at a time, got {sorted(classes)}")
@@ -301,7 +313,7 @@ def _match_frame(frame: EvalFrame, cfg: MatchConfig, ious: np.ndarray):
             flags.append((frame.preds[i].score, -1))
         else:
             flags.append((frame.preds[i].score, 0))
-    return flags, int(len(frame.gts) - ignored.sum())
+    return flags, ignored.count(False)
 
 
 def ap_r40_frames(

@@ -99,3 +99,51 @@ def build_fixed_scene(root):
         ]
     write_detections(images, root / "detections" / "scene.jsonl")
     return sorted(images)
+
+
+def _label_line(cls, truncated, occluded, left, top, right, bottom, h, w, l, x, y, z, yaw, score=None):
+    line = (
+        f"{cls} {truncated:.2f} {occluded} 0.00 {left:.2f} {top:.2f} {right:.2f} {bottom:.2f} "
+        f"{h:.2f} {w:.2f} {l:.2f} {x:.2f} {y:.2f} {z:.2f} {yaw:.2f}"
+    )
+    return line if score is None else f"{line} {score:.2f}"
+
+
+def build_eval_scene(root):
+    """Create gt/ and pred/ label dirs under `root` by arithmetic alone, with
+    no RNG and no mono3dkit writer.  Returns (gt_dir, pred_dir).
+
+    Each of three images has seven rotated Cars whose 2D heights, occlusion
+    and truncation spread them over the difficulty rows, plus a Pedestrian.
+    The predictions are shifted, turned and resized copies (one box is
+    missed), a far-away false positive and a half-overlapping duplicate.
+    """
+    gt_dir, pred_dir = root / "gt", root / "pred"
+    gt_dir.mkdir(parents=True)
+    pred_dir.mkdir(parents=True)
+    heights = (52.0, 33.0, 27.0, 21.0)
+    for i in range(3):
+        gts, preds = [], []
+        for k in range(7):
+            x, z = -8.0 + 2.7 * k + 0.3 * i, 12.0 + 4.5 * k + 1.1 * i
+            h, w, l = 1.5 + 0.03 * k, 1.6 + 0.02 * k, 3.9 + 0.05 * k
+            y, yaw = 1.6 + 0.05 * i, -1.4 + 0.45 * k + 0.2 * i
+            left, top = 100.0 + 60.0 * k, 150.0 - 3.0 * i
+            bottom = top + heights[(k + i) % 4]
+            truncated, occluded = (0.0, 0.2, 0.4)[(k + 2 * i) % 3], (k + i) % 3
+            gts.append(_label_line("Car", truncated, occluded, left, top, left + 70.0, bottom, h, w, l, x, y, z, yaw))
+            if k == 5:
+                continue
+            dx, dz = 0.08 * ((k + i) % 3) - 0.08, 0.25 * ((2 * k + i) % 4) - 0.3
+            dy, dyaw = 0.06 * ((k + 2 * i) % 3 - 1), 0.06 * ((k + i) % 5 - 2)
+            grow, score = 1.0 + 0.04 * ((k + 2 * i) % 3), 0.95 - 0.07 * k - 0.02 * i
+            preds.append(_label_line("Car", 0.0, 0, left, top, left + 70.0, bottom, h * (1.0 + 0.05 * (k % 2)), w,
+                                     l * grow, x + dx, y + dy, z + dz, yaw + dyaw, score))
+        gts.append(_label_line("Pedestrian", 0.0, 0, 40.0, 120.0, 60.0, 180.0, 1.7, 0.6, 0.8, 3.0, 1.6, 9.0, 0.3))
+        preds.append(_label_line("Car", 0.0, 0, 500.0, 140.0, 560.0, 190.0, 1.5, 1.6, 3.9,
+                                 14.0 - 3.0 * i, 1.6, 60.0, 0.1 * i, 0.88))
+        preds.append(_label_line("Car", 0.0, 0, 160.0, 150.0, 230.0, 190.0, 1.53, 1.62, 3.95,
+                                 -4.1 + 0.3 * i, 1.6 + 0.05 * i, 17.5 + 1.1 * i, -0.95 + 0.2 * i, 0.51))
+        (gt_dir / f"{i:06d}.txt").write_text("\n".join(gts) + "\n")
+        (pred_dir / f"{i:06d}.txt").write_text("\n".join(preds) + "\n")
+    return gt_dir, pred_dir

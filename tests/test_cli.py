@@ -343,6 +343,18 @@ class TestEvalCommand:
         assert main(["eval", "--pred", str(tmp_path / "nope"), "--gt", str(tmp_path / "nope"),
                      "--class-name", "Car"]) == 2
 
+    def test_empty_gt_dir_is_data_error(self, tmp_path, capsys):
+        fixtures.build_eval_scene(tmp_path)
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        report = tmp_path / "report.json"
+        assert main(["eval", "--pred", str(tmp_path / "pred"), "--gt", str(empty),
+                     "--class-name", "Car", "--report", str(report)]) == 2
+        captured = capsys.readouterr()
+        assert f"no label files in {empty}" in captured.err
+        assert captured.out == ""
+        assert not report.exists()
+
     def test_invalid_iou_is_invariant_violation(self, tmp_path):
         (tmp_path / "p").mkdir()
         (tmp_path / "g").mkdir()
@@ -668,6 +680,27 @@ class TestOutputBytes:
                          "--out", str(tmp_path / name), "--image-width", str(fixtures.RASTER_W),
                          "--image-height", str(fixtures.RASTER_H), *extra]) == 0
         assert {name: dir_digest(tmp_path / name) for name in self.DIGESTS} == self.DIGESTS
+
+
+class TestEvalReportBytes:
+    """The `eval --report` bytes of a fixed scene.  Its IoUs sit at least 0.0018
+    from the 0.7 threshold, so only a change to matching or AP should move them."""
+
+    DIGESTS = {
+        "3d": "054a60e53c22604da12448822f81349f0a5823ceb43c7c90d5a6ca97e99096c1",
+        "bev": "c80d4bcc5b368b408d67b336563cade6a241b2128832d88bdc87f149c757a5c5",
+    }
+
+    def test_digests(self, tmp_path):
+        gt_dir, pred_dir = fixtures.build_eval_scene(tmp_path)
+        digests = {}
+        for metric in self.DIGESTS:
+            report = tmp_path / f"{metric}.json"
+            assert main(["eval", "--pred", str(pred_dir), "--gt", str(gt_dir), "--class-name", "Car",
+                         "--metric", metric, "--report", str(report)]) == 0
+            assert 0.0 < json.loads(report.read_text())["rows"]["moderate"]["ap"] < 100.0
+            digests[metric] = hashlib.sha256(report.read_bytes()).hexdigest()
+        assert digests == self.DIGESTS
 
 
 class TestClosedStdout:

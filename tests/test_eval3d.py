@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from mono3dkit import eval3d
 from mono3dkit.errors import EmptyInputError
 from mono3dkit.eval3d import (
     EvalFrame,
@@ -420,6 +421,48 @@ class TestApR40:
         assert result.ap == 100.0
         with pytest.raises(ValueError):
             ap_r40(preds, gts, cfg)
+
+
+class TestFloatGeometry:
+    """The clipping loop and the area run on Python floats: numpy scalars
+    would cost about ten times as much per operation, and a BLAS dot
+    product gives bits that depend on the kernel and the memory layout."""
+
+    @pytest.mark.parametrize("scalar", [float, np.float64, np.float32])
+    def test_bev_corners_are_python_floats(self, scalar):
+        b = Box3D("Car", *(scalar(v) for v in (1.25, 1.5, 12.0, 1.5, 1.6, 3.9, 0.7)))
+        corners = eval3d._bev_corners(b)
+        assert len(corners) == 4
+        assert all(type(v) is float for corner in corners for v in corner)
+
+    def test_polygon_area_same_bits_for_every_point_layout(self):
+        # A dot product over contiguous coordinate columns (column-major
+        # points) and over strided ones gave different last bits in about
+        # half of these polygons.
+        rng = np.random.default_rng(12)
+        for _ in range(2000):
+            n = int(rng.integers(3, 9))
+            padded = np.zeros((n, 3))
+            padded[:, 0] = rng.uniform(-40.0, 40.0, n)
+            padded[:, 2] = rng.uniform(0.0, 80.0, n)
+            strided = padded[:, ::2]
+            row_major = np.ascontiguousarray(strided)
+            layouts = ([tuple(p) for p in row_major.tolist()], row_major, np.asfortranarray(strided), strided)
+            assert len({eval3d._polygon_area(points).hex() for points in layouts}) == 1
+
+    def test_match_frame_flags_same_for_list_and_bool_array_ignored(self):
+        rng = np.random.default_rng(13)
+        cfg = MatchConfig(iou_threshold=0.5)
+        for _ in range(50):
+            gts = [random_box(rng) for _ in range(int(rng.integers(1, 7)))]
+            preds = [random_box(rng) for _ in range(int(rng.integers(0, 7)))]
+            ignored = (rng.random(len(gts)) < 0.4).tolist()
+            results = []
+            for gt_ignored in (ignored, np.array(ignored, dtype=bool)):
+                frame = EvalFrame(preds=preds, gts=gts, gt_ignored=gt_ignored)
+                results.append(eval3d._match_frame(frame, cfg, iou_matrix(frame, cfg.metric)))
+            assert results[0] == results[1]
+            assert results[0][1] == ignored.count(False)
 
 
 class TestDifficulty:

@@ -67,6 +67,8 @@ def _read_intrinsics(calib_path: Path, width: int, height: int) -> geometry.Came
 
 def _gather_detections(det_dir: Path):
     files = sorted(det_dir.glob("*.jsonl"))
+    if not files:
+        raise DataIOError(f"no detection files in {det_dir}")
     images = {}
     for f in files:
         parsed = dataio.read_detections(f)
@@ -397,8 +399,11 @@ def cmd_normalize(args) -> int:
             raise DataIOError(f"{what} directory {d} does not exist")
     spec = geometry.VirtualCameraSpec(focal=args.focal, width=args.width, height=args.height)
 
+    label_paths = sorted(label_dir.glob("*.txt"))
+    if not label_paths:
+        raise DataIOError(f"no label files in {label_dir}")
     labels = {}
-    for label_path in sorted(label_dir.glob("*.txt")):
+    for label_path in label_paths:
         intr = _read_intrinsics(calib_dir / label_path.name, args.image_width, args.image_height)
         vintr = geometry.make_virtual_intrinsics(intr, spec)
         labels[out_dir / label_path.name] = [
@@ -425,11 +430,7 @@ def cmd_normalize(args) -> int:
 # ----------------------------------------------------------------------- main
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="mono3dkit", description=__doc__)
-    parser.set_defaults(func=None)
-    sub = parser.add_subparsers(dest="command")
-
+def _add_pseudolabel(sub) -> None:
     p = sub.add_parser("pseudolabel", help="generate KITTI labels from detections + depth + calib")
     p.add_argument("--detections", required=True, help="directory of *.jsonl detection files")
     p.add_argument("--depth", required=True, help="directory of <image>.dpr depth rasters")
@@ -441,6 +442,8 @@ def build_parser() -> _Parser:
         p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=kind, default=None)
     p.set_defaults(func=cmd_pseudolabel)
 
+
+def _add_eval(sub) -> None:
     p = sub.add_parser("eval", help="KITTI-protocol AP over label directories")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
@@ -450,12 +453,16 @@ def build_parser() -> _Parser:
     p.add_argument("--report", default=None, help="write a JSON report here")
     p.set_defaults(func=cmd_eval)
 
+
+def _add_gradcheck(sub) -> None:
     p = sub.add_parser("gradcheck", help="finite-difference check of every kernel gradient")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--points", type=int, default=100)
     p.add_argument("--report", default=None, help="write a JSON report here")
     p.set_defaults(func=cmd_gradcheck)
 
+
+def _add_stats(sub) -> None:
     p = sub.add_parser("stats", help="height histogram of predicted boxes")
     p.add_argument("--pred", required=True)
     p.add_argument("--class-name", dest="class_name", required=True)
@@ -463,11 +470,15 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None, help="write 'bin-center count' columns here")
     p.set_defaults(func=cmd_stats)
 
+
+def _add_filter(sub) -> None:
     p = sub.add_parser("filter", help="robust outlier filtering of a loss list")
     p.add_argument("--losses", required=True, help="file of 'loss' or 'name loss' lines")
     p.add_argument("--k", type=float, default=PipelineConfig.outlier_k)
     p.set_defaults(func=cmd_filter)
 
+
+def _add_normalize(sub) -> None:
     p = sub.add_parser("normalize", help="convert a label directory to/from virtual space")
     p.add_argument("--labels", required=True)
     p.add_argument("--calib", required=True)
@@ -480,11 +491,36 @@ def build_parser() -> _Parser:
     p.add_argument("--invert", action="store_true", help="convert virtual-space labels back")
     p.set_defaults(func=cmd_normalize)
 
+
+# Subcommand name -> the function that adds its subparser, in help order.
+_SUBCOMMANDS = {
+    "pseudolabel": _add_pseudolabel,
+    "eval": _add_eval,
+    "gradcheck": _add_gradcheck,
+    "stats": _add_stats,
+    "filter": _add_filter,
+    "normalize": _add_normalize,
+}
+
+
+def build_parser(command=None) -> _Parser:
+    """The CLI parser with every subcommand, or with only `command`'s.
+
+    A subparser parses, helps and fails the same either way; building one
+    instead of six spares each command the others' argparse setup.
+    """
+    parser = _Parser(prog="mono3dkit", description=__doc__)
+    parser.set_defaults(func=None)
+    sub = parser.add_subparsers(dest="command")
+    for add in _SUBCOMMANDS.values() if command is None else (_SUBCOMMANDS[command],):
+        add(sub)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Anything but a subcommand name first (--help, nothing, a typo) gets all six.
+    parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:

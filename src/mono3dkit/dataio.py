@@ -16,16 +16,19 @@ finite; which values are valid beyond that, the domain types
 (:class:`Detection2D`, :class:`CameraIntrinsics`) decide.  All
 serialization is locale-independent.
 
-Every read goes through :func:`_read_bytes` and every write through
-:func:`_write_bytes`, which replaces a plain file whole via ``<name>.tmp``
-and writes a symlink or a non-regular target (FIFO, device) in place.
+Every read goes through :func:`_read_bytes`, or :func:`_map_bytes` for a
+depth raster, and every write through :func:`_write_bytes`, which replaces
+a plain file whole via ``<name>.tmp`` and writes a symlink or a non-regular
+target (FIFO, device) in place.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
+import stat
 import struct
 import sys
 from dataclasses import dataclass, field
@@ -91,6 +94,26 @@ def _read_bytes(path: Path, what: str) -> bytes:
         raise DataIOError(f"cannot read {what} file {path}: {exc}") from exc
 
 
+def _map_bytes(path: Path, what: str) -> mmap.mmap | bytes:
+    """A read-only map of the regular file `path` (``b""`` if it is empty);
+    an unreadable or non-regular file is a DataIOError naming it.  The map
+    stays valid if the file is replaced or unlinked, not if it is truncated."""
+    try:
+        # O_NONBLOCK: opening a FIFO with no writer returns at once, for fstat to refuse.
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            if not stat.S_ISREG(os.fstat(fd).st_mode):
+                raise DataIOError(f"cannot read {what} file {path}: not a regular file")
+            try:
+                return mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
+            except ValueError:  # mmap refuses an empty file
+                return b""
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise DataIOError(f"cannot read {what} file {path}: {exc}") from exc
+
+
 def _write_bytes(path: Path, data: bytes, what: str) -> None:
     """Write `data` to `path` whole; a failed write is a DataIOError naming `path`."""
     in_place = path.is_symlink() or (path.exists() and not path.is_file())
@@ -127,34 +150,20 @@ def _parse_float(token: str, path, lineno, what: str) -> float:
     return value
 
 
+# The name each numeric field of a label line has in a ParseError.
+_LABEL_FIELD_NAMES = ("truncated", "occluded", *(f"field {i}" for i in range(3, 15)), "score")
+
+
 def _parse_label_line(line: str, path, lineno: int) -> KittiLabelRecord:
     fields = line.split()
     if len(fields) not in (15, 16):
         raise ParseError(f"expected 15 or 16 fields, got {len(fields)}", path=path, line=lineno)
-    occ = _parse_float(fields[2], path, lineno, "occluded")
-    if not occ.is_integer():
+    values = [_parse_float(tok, path, lineno, name) for tok, name in zip(fields[1:], _LABEL_FIELD_NAMES)]
+    if not values[1].is_integer():
         raise ParseError(f"occluded must be an integer, got {fields[2]!r}", path=path, line=lineno)
-    values = [_parse_float(fields[i], path, lineno, f"field {i}") for i in range(3, 15)]
-    score = _parse_float(fields[15], path, lineno, "score") if len(fields) == 16 else None
-    return KittiLabelRecord(
-        type=fields[0],
-        truncated=_parse_float(fields[1], path, lineno, "truncated"),
-        occluded=int(occ),
-        alpha=values[0],
-        left=values[1],
-        top=values[2],
-        right=values[3],
-        bottom=values[4],
-        h=values[5],
-        w=values[6],
-        l=values[7],
-        x=values[8],
-        y=values[9],
-        z=values[10],
-        rotation_y=values[11],
-        score=score,
-        line=lineno,
-    )
+    score = values[14] if len(values) == 15 else None
+    # type, truncated, occluded, alpha .. rotation_y, score, line
+    return KittiLabelRecord(fields[0], values[0], int(values[1]), *values[2:14], score, lineno)
 
 
 def format_label_line(rec: KittiLabelRecord) -> str:
@@ -221,7 +230,7 @@ def read_calib(path) -> CalibRecord:
 
 def read_depth(path) -> DepthRaster:
     path = Path(path)
-    blob = _read_bytes(path, "depth")
+    blob = _map_bytes(path, "depth")
     header = len(DEPTH_MAGIC) + 8
     if len(blob) < header:
         raise DataIOError(f"{path}: truncated header ({len(blob)} bytes)")
@@ -234,7 +243,8 @@ def read_depth(path) -> DepthRaster:
     payload = len(blob) - header
     if payload != expected:
         raise DataIOError(f"{path}: payload is {payload} bytes, expected {expected} for {width}x{height}")
-    # A read-only view of the payload; sample_depth decides validity per window.
+    # A read-only view of the mapped payload: only the pages that the depth
+    # windows touch are read.  sample_depth decides validity per window.
     values = np.frombuffer(blob, dtype="<f4", count=width * height, offset=header)
     return DepthRaster(values=values.reshape(height, width))
 

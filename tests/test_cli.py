@@ -114,9 +114,31 @@ class TestPseudolabelCommand:
         for d in ("detections", "depth", "calib"):
             (tmp_path / d).mkdir()
         out = tmp_path / "out"
-        assert run_pseudolabel(tmp_path, out) == 0
-        assert list(out.glob("*.txt")) == []
-        assert "images = 0" in capsys.readouterr().out
+        assert run_pseudolabel(tmp_path, out) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert f"no detection files in {tmp_path / 'detections'}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("kind", ["fifo", "directory"])
+    def test_non_regular_depth_raster_is_data_error(self, tmp_path, capsys, kind):
+        """A FIFO named <image>.dpr with no writer is refused at once, not waited on."""
+        fixtures.build_scene(tmp_path, n_images=2, seed=7)
+        victim = tmp_path / "depth" / "000001.dpr"
+        victim.unlink()
+        os.mkfifo(victim) if kind == "fifo" else victim.mkdir()
+        codes = []
+        worker = threading.Thread(target=lambda: codes.append(run_pseudolabel(tmp_path, tmp_path / "out")))
+        worker.start()
+        worker.join(timeout=10)
+        if worker.is_alive():
+            # Blocked opening the FIFO: a writer that opens and closes it lets the run end.
+            os.close(os.open(victim, os.O_WRONLY | os.O_NONBLOCK))
+            worker.join()
+            pytest.fail("pseudolabel blocked opening a FIFO depth raster")
+        assert codes == [2]
+        assert f"{victim}: not a regular file" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_calib_names_image_and_cleans_up(self, tmp_path, capsys):
         fixtures.build_scene(tmp_path, n_images=3, seed=7)
@@ -565,6 +587,18 @@ class TestNormalizeCommand:
         for a, b in zip(orig, virt):
             assert b.z == pytest.approx(a.z * 1400.0 / 700.0, abs=0.01)
 
+    def test_empty_label_dir_is_data_error(self, tmp_path, capsys):
+        labels, calib = tmp_path / "labels", tmp_path / "calib"
+        labels.mkdir()
+        calib.mkdir()
+        out = tmp_path / "o"
+        assert main(["normalize", "--labels", str(labels), "--calib", str(calib), "--out", str(out),
+                     "--image-width", "640", "--image-height", "480"]) == 2
+        captured = capsys.readouterr()
+        assert f"no label files in {labels}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_missing_calib_is_data_error(self, tmp_path):
         labels, calib = self.make_labels(tmp_path)
         (calib / "000000.txt").unlink()
@@ -740,16 +774,112 @@ class TestParserDefaults:
         )
 
 
+# Per subcommand: one valid argv and usage errors (a missing required flag or
+# flag value, a bad choice or type) that its subparser reports.
+PARSER_CASES = {
+    "pseudolabel": (
+        ["--detections", "d", "--depth", "p", "--calib", "c", "--out", "o", "--workers", "2",
+         "--score-threshold", "0.3", "--depth-window", "7"],
+        [["--detections", "d"], ["--detections", "d", "--depth", "p", "--calib", "c", "--out", "o",
+                                 "--workers", "two"], ["--depth-window", "1.5"]],
+    ),
+    "eval": (
+        ["--pred", "p", "--gt", "g", "--class-name", "Car", "--metric", "bev", "--iou", "0.5"],
+        [["--pred", "p"], ["--pred", "p", "--gt", "g", "--class-name", "Car", "--metric", "4d"],
+         ["--pred", "p", "--gt", "g", "--class-name", "Car", "--iou", "high"]],
+    ),
+    "gradcheck": (
+        ["--seed", "3", "--points", "5", "--report", "r.json"],
+        [["--seed"], ["--points", "many"], ["--bogus"]],
+    ),
+    "stats": (
+        ["--pred", "p", "--class-name", "Car", "--bin-width", "0.1"],
+        [["--class-name", "Car"], ["--pred", "p", "--class-name", "Car", "--bin-width", "wide"]],
+    ),
+    "filter": (
+        ["--losses", "l.txt", "--k", "2.5"],
+        [[], ["--losses", "l.txt", "--k", "x"]],
+    ),
+    "normalize": (
+        ["--labels", "l", "--calib", "c", "--out", "o", "--image-width", "640", "--image-height", "480",
+         "--invert"],
+        [["--labels", "l", "--calib", "c", "--out", "o", "--image-width", "640"],
+         ["--labels", "l", "--calib", "c", "--out", "o", "--image-width", "6.4e2", "--image-height", "480"]],
+    ),
+}
+
+
+class TestOneSubparser:
+    """build_parser(name) parses, helps and fails like the full parser for `name`."""
+
+    def test_cases_cover_every_subcommand(self):
+        assert list(PARSER_CASES) == list(cli._SUBCOMMANDS)
+
+    @staticmethod
+    def help_text(parser, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args(argv)
+        assert exit_info.value.code == 0
+        return capsys.readouterr().out
+
+    @staticmethod
+    def usage_error(parser, argv):
+        with pytest.raises(cli.UsageError) as err:
+            parser.parse_args(argv)
+        return str(err.value)
+
+    @pytest.mark.parametrize("name", list(PARSER_CASES))
+    def test_help_is_identical(self, name, capsys):
+        alone = self.help_text(build_parser(name), [name, "--help"], capsys)
+        full = self.help_text(build_parser(), [name, "--help"], capsys)
+        assert alone == full
+        assert alone.startswith(f"usage: mono3dkit {name} ")
+
+    @pytest.mark.parametrize("name", list(PARSER_CASES))
+    def test_valid_argv_gives_the_same_namespace(self, name):
+        argv = [name, *PARSER_CASES[name][0]]
+        args = build_parser(name).parse_args(argv)
+        assert args == build_parser().parse_args(argv)
+        assert args.command == name and args.func is getattr(cli, f"cmd_{name}")
+
+    @pytest.mark.parametrize(
+        "name, bad", [(name, bad) for name, (_, errors) in PARSER_CASES.items() for bad in errors]
+    )
+    def test_usage_errors_are_identical(self, name, bad):
+        argv = [name, *bad]
+        message = self.usage_error(build_parser(name), argv)
+        assert message == self.usage_error(build_parser(), argv)
+        assert message
+
+    def test_main_builds_only_the_named_subparser(self, monkeypatch):
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or real(command))
+        assert main(["gradcheck", "--points", "many"]) == 1
+        assert main(["frobnicate", "gradcheck"]) == 1
+        assert main([]) == 1
+        assert built == ["gradcheck", None, None]
+
+    def test_top_level_help_lists_all_six(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        out = capsys.readouterr().out
+        assert all(name in out for name in PARSER_CASES)
+
+
 class TestUsage:
-    def test_unknown_command(self):
+    def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
+        choices = ", ".join(repr(name) for name in PARSER_CASES)
+        assert f"invalid choice: 'frobnicate' (choose from {choices})" in capsys.readouterr().err
 
     def test_missing_required_flag(self):
         assert main(["eval", "--pred", "x"]) == 1
 
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 1
-        assert "pseudolabel" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert all(name in err for name in PARSER_CASES)
 
 
 GOOD_P2 = b"P2: 500 0 160 0 0 500 120 0 0 0 1 0\n"

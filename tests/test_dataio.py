@@ -1,4 +1,6 @@
 import ast
+import os
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -83,6 +85,36 @@ class TestLabels:
         with pytest.raises(ParseError) as err:
             read_labels(path)
         assert err.value.line == 2
+
+    @pytest.mark.parametrize("index", range(1, 16))
+    def test_each_bad_numeric_field_is_named(self, tmp_path, index):
+        path = tmp_path / "a.txt"
+        fields = format_label_line(record()).split()
+        fields[index] = "bad"
+        path.write_text(" ".join(fields) + "\n")
+        name = {1: "truncated", 2: "occluded", 15: "score"}.get(index, f"field {index}")
+        with pytest.raises(ParseError, match=f"bad {name} value 'bad'") as err:
+            read_labels(path)
+        assert err.value.line == 1
+
+    @pytest.mark.parametrize(
+        "bad, expected",
+        [
+            ({1: "x", 2: "0.5"}, "bad truncated value 'x'"),
+            ({1: "nan", 15: "inf"}, "bad truncated value 'nan'"),
+            ({2: "x", 3: "y"}, "bad occluded value 'x'"),
+            ({5: "x", 9: "y"}, "bad field 5 value 'x'"),
+            ({14: "1e999", 15: "x"}, "bad field 14 value '1e999'"),
+        ],
+    )
+    def test_two_bad_fields_name_the_leftmost(self, tmp_path, bad, expected):
+        path = tmp_path / "a.txt"
+        fields = format_label_line(record()).split()
+        for index, token in bad.items():
+            fields[index] = token
+        path.write_text(" ".join(fields) + "\n")
+        with pytest.raises(ParseError, match=expected):
+            read_labels(path)
 
     def test_fractional_occlusion_rejected(self, tmp_path):
         path = tmp_path / "a.txt"
@@ -224,6 +256,57 @@ class TestDepth:
         with pytest.raises(DataIOError):
             read_depth(path)
 
+    def test_empty_file_is_a_truncated_header(self, tmp_path):
+        path = tmp_path / "d.dpr"
+        path.write_bytes(b"")
+        with pytest.raises(DataIOError, match=r"truncated header \(0 bytes\)"):
+            read_depth(path)
+
+    def test_values_survive_the_file_being_replaced(self, tmp_path):
+        path = tmp_path / "d.dpr"
+        values = np.arange(12, dtype=float).reshape(3, 4) + 1.0
+        write_depth(values, path)
+        raster = read_depth(path)
+        write_depth(np.full((5, 7), 9.0), path)
+        np.testing.assert_array_equal(raster.values, values.astype(np.float32))
+        assert read_depth(path).values.shape == (5, 7)
+
+    def test_values_survive_the_file_being_unlinked(self, tmp_path):
+        path = tmp_path / "d.dpr"
+        values = np.arange(12, dtype=float).reshape(4, 3) + 1.0
+        write_depth(values, path)
+        raster = read_depth(path)
+        path.unlink()
+        np.testing.assert_array_equal(raster.values, values.astype(np.float32))
+
+    @pytest.mark.parametrize("kind", ["fifo", "directory"])
+    def test_non_regular_file_is_refused_without_blocking(self, tmp_path, kind):
+        path = tmp_path / "d.dpr"
+        os.mkfifo(path) if kind == "fifo" else path.mkdir()
+        errors = []
+
+        def read():
+            try:
+                read_depth(path)
+            except DataIOError as exc:
+                errors.append(str(exc))
+
+        worker = threading.Thread(target=read)
+        worker.start()
+        worker.join(timeout=10)
+        if worker.is_alive():
+            # A FIFO with no writer blocks a plain open(); a writer that opens and closes it ends the read.
+            os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+            worker.join()
+            pytest.fail("read_depth blocked opening a FIFO")
+        assert errors == [f"cannot read depth file {path}: not a regular file"]
+
+    def test_missing_file_names_it(self, tmp_path):
+        path = tmp_path / "d.dpr"
+        with pytest.raises(DataIOError, match="cannot read depth file") as err:
+            read_depth(path)
+        assert str(path) in str(err.value)
+
     def test_non_2d_write_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_depth(np.ones(5), tmp_path / "d.dpr")
@@ -309,9 +392,10 @@ class TestDetections:
         assert err.value.line == 2
 
 
-def test_two_helpers_are_the_only_file_access():
-    """dataio._read_bytes is the one place that reads a file and dataio._write_bytes the one that writes one."""
-    file_calls = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+def test_three_helpers_are_the_only_file_access():
+    """dataio._read_bytes and dataio._map_bytes are the only places that read a
+    file, and dataio._write_bytes the one that writes one."""
+    file_calls = {"open", "read_text", "write_text", "read_bytes", "write_bytes", "mmap"}
     found = set()
     for path in sorted(Path(dataio.__file__).parent.glob("*.py")):
         stack = [(node, None) for node in ast.parse(path.read_text()).body]
@@ -324,4 +408,9 @@ def test_two_helpers_are_the_only_file_access():
                 if name in file_calls:
                     found.add((path.name, func, name))
             stack.extend((child, func) for child in ast.iter_child_nodes(node))
-    assert found == {("dataio.py", "_read_bytes", "read_bytes"), ("dataio.py", "_write_bytes", "write_bytes")}
+    assert found == {
+        ("dataio.py", "_read_bytes", "read_bytes"),
+        ("dataio.py", "_map_bytes", "open"),
+        ("dataio.py", "_map_bytes", "mmap"),
+        ("dataio.py", "_write_bytes", "write_bytes"),
+    }

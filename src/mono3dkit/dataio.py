@@ -16,14 +16,16 @@ finite; which values are valid beyond that, the domain types
 (:class:`Detection2D`, :class:`CameraIntrinsics`) decide.  All
 serialization is locale-independent.
 
-Every read goes through :func:`_read_bytes`, or :func:`_map_bytes` for a
-depth raster, and every write through :func:`_write_bytes`, which replaces
-a plain file whole via ``<name>.tmp`` and writes a symlink or a non-regular
-target (FIFO, device) in place.
+Every input is opened by :func:`_open_input` and must be a regular file: a
+FIFO, directory, device or pipe (``<(...)``) is a DataIOError, never waited on.
+:func:`_read_text` reads a text file, :func:`_map_bytes` maps a depth raster,
+and :func:`_write_bytes` replaces a plain file whole via ``<name>.tmp`` and
+writes a symlink or a non-regular target (FIFO, device) in place.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import mmap
@@ -86,32 +88,29 @@ class KittiLabelRecord:
     line: Optional[int] = field(default=None, compare=False, repr=False)
 
 
-def _read_bytes(path: Path, what: str) -> bytes:
-    """The bytes of `path`; an unreadable file is a DataIOError naming it."""
+@contextlib.contextmanager
+def _open_input(path: Path, what: str):
+    """A read-only fd of the regular file `path` and its size, closed when the block
+    ends; a missing, unreadable or non-regular file is a DataIOError naming it."""
     try:
-        return path.read_bytes()
+        # O_NONBLOCK: opening a FIFO with no writer returns at once, for fstat to refuse.
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            info = os.fstat(fd)
+            if not stat.S_ISREG(info.st_mode):
+                raise DataIOError(f"cannot read {what} file {path}: not a regular file")
+            yield fd, info.st_size
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise DataIOError(f"cannot read {what} file {path}: {exc}") from exc
 
 
 def _map_bytes(path: Path, what: str) -> mmap.mmap | bytes:
-    """A read-only map of the regular file `path` (``b""`` if it is empty);
-    an unreadable or non-regular file is a DataIOError naming it.  The map
-    stays valid if the file is replaced or unlinked, not if it is truncated."""
-    try:
-        # O_NONBLOCK: opening a FIFO with no writer returns at once, for fstat to refuse.
-        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
-        try:
-            if not stat.S_ISREG(os.fstat(fd).st_mode):
-                raise DataIOError(f"cannot read {what} file {path}: not a regular file")
-            try:
-                return mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
-            except ValueError:  # mmap refuses an empty file
-                return b""
-        finally:
-            os.close(fd)
-    except OSError as exc:
-        raise DataIOError(f"cannot read {what} file {path}: {exc}") from exc
+    """A read-only map of the regular file `path` (``b""`` if it is empty).
+    The map stays valid if the file is replaced or unlinked, not if it is truncated."""
+    with _open_input(path, what) as (fd, size):
+        return mmap.mmap(fd, 0, access=mmap.ACCESS_READ) if size else b""
 
 
 def _write_bytes(path: Path, data: bytes, what: str) -> None:
@@ -129,9 +128,11 @@ def _write_bytes(path: Path, data: bytes, what: str) -> None:
 
 
 def _read_text(path: Path, what: str, encoding: str) -> str:
-    """The text of `path`; an unreadable file is a DataIOError, and a byte
-    that is not `encoding` text a ParseError at its line."""
-    data = _read_bytes(path, what)
+    """The text of the regular file `path`; an unreadable file is a DataIOError,
+    and a byte that is not `encoding` text a ParseError at its line."""
+    with _open_input(path, what) as (fd, size):
+        # Read to EOF, not to the fstat size: the file may grow while it is read.
+        data = b"".join(iter(lambda: os.read(fd, max(size, 1 << 16)), b""))
     try:
         return data.decode(encoding)
     except UnicodeDecodeError as exc:

@@ -200,19 +200,18 @@ def _edge_array(dets: Sequence[Detection2D]) -> np.ndarray:
 
 
 def _lattice(start: np.ndarray, stop: np.ndarray, grid: int) -> np.ndarray:
-    """(N, grid) rows equal bit for bit to ``np.linspace(start[i], stop[i], grid)``.
-
-    Given arrays, linspace uses its zero-step formula for every row as soon as
-    one row's step is 0, so rows with and without a zero step get one call each.
-    """
-    if grid > 1:
-        flat = (stop - start) / (grid - 1) == 0
-        if flat.any() and not flat.all():
-            out = np.empty((start.size, grid))
-            for part in (flat, ~flat):
-                out[part] = np.linspace(start[part], stop[part], grid, axis=1)
-            return out
-    return np.linspace(start, stop, grid, axis=1)
+    """(N, grid) rows ``k * step + start``, k = 0 .. grid - 1, step = (stop - start) / (grid - 1),
+    or ``k / (grid - 1) * (stop - start) + start`` in a row whose step is 0, ending at `stop`
+    (grid 1 gives `start` alone): the arithmetic of ``np.linspace``, written out row by row."""
+    if grid == 1:
+        return start[:, None]
+    div = grid - 1
+    k = np.arange(grid, dtype=np.float64)
+    delta = (stop - start)[:, None]
+    step = delta / div
+    out = np.where(step == 0, k / div * delta, k * step) + start[:, None]
+    out[:, -1] = stop
+    return out
 
 
 def _projection_points(subjects: np.ndarray, occluders: np.ndarray, grid: int, *, skip_self: bool = False):

@@ -58,41 +58,27 @@ class McWorkspace:
         np.less_equal(self.t1, np.float32(box.w / 2.0), out=self.b3)
         out &= self.b3
 
-    def _bev_intersection(self, a, b):
+    def ious(self, a, b):
+        """(BEV IoU, 3D IoU) of `a` and `b` from one pass over the footprint samples."""
         ax0, ax1, az0, az1 = _footprint_bounds(a)
         bx0, bx1, bz0, bz1 = _footprint_bounds(b)
         x0, x1 = max(ax0, bx0), min(ax1, bx1)
         z0, z1 = max(az0, bz0), min(az1, bz1)
         if x1 <= x0 or z1 <= z0:
-            return 0.0
+            return 0.0, 0.0
         self._points(x0, x1, z0, z1)
         self._footprint_hits(a, self.b1)
         self._footprint_hits(b, self.b2)
         self.b1 &= self.b2
-        return np.count_nonzero(self.b1) / self.n * (x1 - x0) * (z1 - z0)
-
-    def bev_iou(self, a, b):
-        inter = self._bev_intersection(a, b)
+        inter = np.count_nonzero(self.b1) / self.n * (x1 - x0) * (z1 - z0)
         union = a.w * a.l + b.w * b.l - inter
-        return inter / union if union > 0 else 0.0
-
-    def iou3d(self, a, b):
+        bev = inter / union if union > 0 else 0.0
         y0 = max(a.y - a.h, b.y - b.h)
         y1 = min(a.y, b.y)
         if y1 <= y0:
-            return 0.0
-        ax0, ax1, az0, az1 = _footprint_bounds(a)
-        bx0, bx1, bz0, bz1 = _footprint_bounds(b)
-        x0, x1 = max(ax0, bx0), min(ax1, bx1)
-        z0, z1 = max(az0, bz0), min(az1, bz1)
-        if x1 <= x0 or z1 <= z0:
-            return 0.0
-        self._points(x0, x1, z0, z1)
+            return bev, 0.0
         np.multiply(self.u[:, 2], np.float32(y1 - y0), out=self.py)
         self.py += np.float32(y0)
-        self._footprint_hits(a, self.b1)
-        self._footprint_hits(b, self.b2)
-        self.b1 &= self.b2
         for box in (a, b):
             np.greater_equal(self.py, np.float32(box.y - box.h), out=self.b2)
             self.b1 &= self.b2
@@ -100,7 +86,13 @@ class McWorkspace:
             self.b1 &= self.b2
         inter = np.count_nonzero(self.b1) / self.n * (x1 - x0) * (z1 - z0) * (y1 - y0)
         union = a.w * a.l * a.h + b.w * b.l * b.h - inter
-        return inter / union if union > 0 else 0.0
+        return bev, inter / union if union > 0 else 0.0
+
+    def bev_iou(self, a, b):
+        return self.ious(a, b)[0]
+
+    def iou3d(self, a, b):
+        return self.ious(a, b)[1]
 
 
 def _footprint_bounds(box):

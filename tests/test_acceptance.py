@@ -165,8 +165,9 @@ def test_criterion_06_rotated_iou_oracle():
             float(rng.uniform(-math.pi, math.pi)),
             1.0,
         )
-        worst_bev = max(worst_bev, abs(bev_iou(a, b) - ws.bev_iou(a, b)))
-        worst_3d = max(worst_3d, abs(iou3d(a, b) - ws.iou3d(a, b)))
+        mc_bev, mc_3d = ws.ious(a, b)
+        worst_bev = max(worst_bev, abs(bev_iou(a, b) - mc_bev))
+        worst_3d = max(worst_3d, abs(iou3d(a, b) - mc_3d))
 
     # concentric unit squares, one rotated 45 degrees: the octagonal overlap
     # has area 2(sqrt(2) - 1), giving IoU = sqrt(2)/2; the Monte-Carlo

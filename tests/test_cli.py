@@ -1004,6 +1004,47 @@ class TestMalformedInputIsDataError:
         assert f"{losses}:2:" in capsys.readouterr().err
 
 
+def text_input_case(root, which):
+    """(argv, path, what): a run that reads the text input `which` from `path`,
+    and the name its errors give that kind of file."""
+    if which in ("gt", "pred"):
+        gt_dir, pred_dir = write_difficulty_fixture(root)
+        path = (gt_dir if which == "gt" else pred_dir) / "000001.txt"
+        return ["eval", "--pred", str(pred_dir), "--gt", str(gt_dir), "--class-name", "Car"], path, "label"
+    if which == "losses":
+        path = root / "l.txt"
+        return ["filter", "--losses", str(path)], path, "losses"
+    fixtures.build_scene(root, n_images=2, seed=7)
+    path = {"calib": root / "calib" / "000001.txt", "detection": root / "detections" / "scene.jsonl",
+            "config": root / "c.cfg"}[which]
+    argv = ["pseudolabel", "--detections", str(root / "detections"), "--depth", str(root / "depth"),
+            "--calib", str(root / "calib"), "--out", str(root / "out")]
+    return argv + (["--config", str(path)] if which == "config" else []), path, which
+
+
+class TestNonRegularTextInputIsDataError:
+    """A FIFO or a directory in place of a text input is refused at once, naming it."""
+
+    @pytest.mark.parametrize("kind", ["fifo", "directory"])
+    @pytest.mark.parametrize("which", ["calib", "detection", "gt", "pred", "config", "losses"])
+    def test_refused_without_blocking(self, tmp_path, capsys, which, kind):
+        argv, path, what = text_input_case(tmp_path, which)
+        path.unlink(missing_ok=True)
+        os.mkfifo(path) if kind == "fifo" else path.mkdir()
+        codes = []
+        worker = threading.Thread(target=lambda: codes.append(main(argv)))
+        worker.start()
+        worker.join(timeout=10)
+        if worker.is_alive():
+            # Blocked opening the FIFO: a writer that opens and closes it lets the run end.
+            os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+            worker.join()
+            pytest.fail(f"{argv[0]} blocked opening a FIFO {which} file")
+        assert codes == [2]
+        assert f"cannot read {what} file {path}: not a regular file" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestNonFiniteFlagsAreRejected:
     """A non-finite value of a flag outside PipelineConfig is out of range, like any other (exit 3)."""
 

@@ -56,6 +56,14 @@ class TestLabels:
         write_labels(read_labels(path), path)
         assert path.read_bytes() == first
 
+    @pytest.mark.parametrize("n", [0, 3000])
+    def test_file_of_any_size_is_read_whole(self, tmp_path, n):
+        """An empty file has no records, and one larger than 64 KiB loses none."""
+        path = tmp_path / "000000.txt"
+        records = [record(x=float(i)) for i in range(n)]
+        write_labels(records, path)
+        assert read_labels(path) == records
+
     def test_fifteen_field_line_has_no_score(self, tmp_path):
         path = tmp_path / "a.txt"
         path.write_text("Car 0.00 0 -1.58 0.00 0.00 50.00 50.00 1.50 1.60 3.90 1.00 1.50 10.00 0.00\n")
@@ -392,10 +400,11 @@ class TestDetections:
         assert err.value.line == 2
 
 
-def test_three_helpers_are_the_only_file_access():
-    """dataio._read_bytes and dataio._map_bytes are the only places that read a
-    file, and dataio._write_bytes the one that writes one."""
-    file_calls = {"open", "read_text", "write_text", "read_bytes", "write_bytes", "mmap"}
+def test_four_helpers_are_the_only_file_access():
+    """dataio._open_input is the only place that opens an input file,
+    dataio._read_text and dataio._map_bytes the only ones that read what it
+    opened, and dataio._write_bytes the one that writes a file."""
+    file_calls = {"open", "read", "read_text", "write_text", "read_bytes", "write_bytes", "mmap"}
     found = set()
     for path in sorted(Path(dataio.__file__).parent.glob("*.py")):
         stack = [(node, None) for node in ast.parse(path.read_text()).body]
@@ -409,8 +418,8 @@ def test_three_helpers_are_the_only_file_access():
                     found.add((path.name, func, name))
             stack.extend((child, func) for child in ast.iter_child_nodes(node))
     assert found == {
-        ("dataio.py", "_read_bytes", "read_bytes"),
-        ("dataio.py", "_map_bytes", "open"),
+        ("dataio.py", "_open_input", "open"),
+        ("dataio.py", "_read_text", "read"),
         ("dataio.py", "_map_bytes", "mmap"),
         ("dataio.py", "_write_bytes", "write_bytes"),
     }

@@ -37,6 +37,16 @@ def det(left, top, right, bottom, score=0.9, cls="Pedestrian"):
     return Detection2D(class_id=cls, left=left, top=top, right=right, bottom=bottom, score=score)
 
 
+def scalar_lattice(start, stop, grid):
+    """The fallback lattice in plain floats: start + k * step, or start + (k / div) * delta
+    where the step is 0, with the last point stop itself."""
+    if grid == 1:
+        return [start]
+    div, delta = grid - 1, stop - start
+    step = delta / div
+    return [(k / div * delta if step == 0 else k * step) + start for k in range(div)] + [stop]
+
+
 def scalar_projection_point(subject, others, grid):
     """Reference: the scalar raster-order scan, one strict-interior test per occluder and point."""
 
@@ -48,8 +58,8 @@ def scalar_projection_point(subject, others, grid):
         return cu, cv, False
     half_w = (subject.right - subject.left) / 4.0
     half_h = (subject.bottom - subject.top) / 4.0
-    for v in np.linspace(cv - half_h, cv + half_h, grid):
-        for u in np.linspace(cu - half_w, cu + half_w, grid):
+    for v in scalar_lattice(cv - half_h, cv + half_h, grid):
+        for u in scalar_lattice(cu - half_w, cu + half_w, grid):
             if not any(inside(o, u, v) for o in others):
                 return float(u), float(v), False
     return cu, cv, True

@@ -25,7 +25,6 @@ from .errors import (
     InvalidIntrinsicsError,
     MisalignedInputsError,
     NonPositiveDepthError,
-    NoValidDepthError,
     ParseError,
     PipelineError,
     ShapeMismatchError,
@@ -84,12 +83,9 @@ from .pseudolabel import (
     LabelingDiagnostics,
     LabelingResult,
     OrientationEstimate,
-    ProjectionPoint,
     PseudoLabel,
     estimate_dimensions,
     generate_pseudo_labels,
-    sample_depth,
-    select_projection_point,
 )
 
 __version__ = "0.1.0"

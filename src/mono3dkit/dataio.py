@@ -245,7 +245,7 @@ def read_depth(path) -> DepthRaster:
     if payload != expected:
         raise DataIOError(f"{path}: payload is {payload} bytes, expected {expected} for {width}x{height}")
     # A read-only view of the mapped payload: only the pages that the depth
-    # windows touch are read.  sample_depth decides validity per window.
+    # windows touch are read.  Validity is decided per depth window.
     values = np.frombuffer(blob, dtype="<f4", count=width * height, offset=header)
     return DepthRaster(values=values.reshape(height, width))
 

@@ -13,10 +13,6 @@ class NonPositiveDepthError(PipelineError, ValueError):
     """An operation that requires depth > 0 received a non-positive depth."""
 
 
-class NoValidDepthError(PipelineError, ValueError):
-    """No valid depth pixel inside the sampling window, or the point is off the raster."""
-
-
 class MisalignedInputsError(PipelineError, ValueError):
     """Index-aligned input sequences have different lengths."""
 

@@ -20,7 +20,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import geometry
-from .errors import MisalignedInputsError, NonPositiveDepthError, NoValidDepthError
+from .errors import MisalignedInputsError, NonPositiveDepthError
 from .geometry import CameraIntrinsics, VirtualCameraSpec, wrap_angle
 
 __all__ = [
@@ -30,12 +30,9 @@ __all__ = [
     "ClassPrior",
     "DimensionPrior",
     "Box3D",
-    "ProjectionPoint",
     "PseudoLabel",
     "LabelingDiagnostics",
     "LabelingResult",
-    "select_projection_point",
-    "sample_depth",
     "estimate_dimensions",
     "generate_pseudo_labels",
 ]
@@ -88,14 +85,9 @@ class DepthRaster:
             raise ValueError(f"values must be 2-d, got shape {self.values.shape}")
 
     @classmethod
-    def from_values(cls, values, valid=None) -> "DepthRaster":
-        """Build a float64 raster; an explicit `valid` mask only narrows validity.
-
-        Pixels where `valid` is False are stored as NaN.
-        """
+    def from_values(cls, values) -> "DepthRaster":
+        """Build a read-only float64 copy of `values`."""
         arr = np.array(values, dtype=np.float64)
-        if valid is not None:
-            arr[~np.broadcast_to(np.asarray(valid, dtype=bool), arr.shape)] = np.nan
         arr.setflags(write=False)
         return cls(values=arr)
 
@@ -180,15 +172,6 @@ class Box3D:
         return geometry.CamPoint3(self.x, self.center_y, self.z)
 
 
-@dataclass(frozen=True)
-class ProjectionPoint:
-    """Chosen projection point; `conflict` means no unoccluded point existed."""
-
-    u: float
-    v: float
-    conflict: bool = False
-
-
 # Most (row, lattice step, occluder) elements one block of the fallback test
 # holds, so its temporaries stay small however crowded the image is.
 _BLOCK_ELEMENTS = 1 << 16
@@ -214,42 +197,43 @@ def _lattice(start: np.ndarray, stop: np.ndarray, grid: int) -> np.ndarray:
     return out
 
 
-def _projection_points(subjects: np.ndarray, occluders: np.ndarray, grid: int, *, skip_self: bool = False):
-    """The rule of :func:`select_projection_point` for every row of `subjects`.
+def _projection_points(edges: np.ndarray, grid: int):
+    """The pixel whose back-projection anchors each box of one image's (N, 4) edge array.
 
-    `subjects` and `occluders` are (N, 4) and (M, 4) edge arrays.  With
-    `skip_self`, `occluders` is `subjects` and no row occludes itself (a twin
-    at another index still does).  Returns the arrays (u, v, occluded,
-    conflict): `occluded` marks the rows whose center another box strictly
-    contains, and `conflict` those of them whose whole lattice is occluded.
+    A box keeps its center unless another row holds it strictly inside (a
+    shared edge does not count; a row never occludes itself, a twin at
+    another index does).  Then the grid x grid :func:`_lattice` over its
+    central quarter (the half width/height box around the center) is scanned
+    row by row from the top, left to right, and the first point inside no
+    other box wins; if there is none, the center stays and the row is a
+    conflict.  Returns the arrays (u, v, occluded, conflict), where
+    `occluded` marks the rows whose center another box contains.
     """
-    cu = (subjects[:, 0] + subjects[:, 2]) / 2.0
-    cv = (subjects[:, 1] + subjects[:, 3]) / 2.0
-    left, top, right, bottom = occluders.T
-    # Built in place: at N = M = 400 each (N, M) temporary is 160 kB.
+    cu = (edges[:, 0] + edges[:, 2]) / 2.0
+    cv = (edges[:, 1] + edges[:, 3]) / 2.0
+    left, top, right, bottom = edges.T
+    # Built in place: at N = 400 each (N, N) temporary is 160 kB.
     covered = left < cu[:, None]
     covered &= cu[:, None] < right
     covered &= top < cv[:, None]
     covered &= cv[:, None] < bottom
-    if skip_self:
-        np.fill_diagonal(covered, False)
+    np.fill_diagonal(covered, False)
     occluded = covered.any(axis=1)
     u, v, conflict = cu.copy(), cv.copy(), occluded.copy()
     rows = np.flatnonzero(occluded)
     if not rows.size:
         return u, v, occluded, conflict
-    half_w = (subjects[rows, 2] - subjects[rows, 0]) / 4.0
-    half_h = (subjects[rows, 3] - subjects[rows, 1]) / 4.0
+    half_w = (edges[rows, 2] - edges[rows, 0]) / 4.0
+    half_h = (edges[rows, 3] - edges[rows, 1]) / 4.0
     us = _lattice(cu[rows] - half_w, cu[rows] + half_w, grid)
     vs = _lattice(cv[rows] - half_h, cv[rows] + half_h, grid)
-    step = max(1, _BLOCK_ELEMENTS // (len(occluders) * grid))
+    step = max(1, _BLOCK_ELEMENTS // (len(edges) * grid))
     for lo in range(0, rows.size, step):
         block = np.arange(lo, min(lo + step, rows.size))
         bu, bv = us[block, :, None], vs[block, :, None]
         in_u = (left < bu) & (bu < right)
         in_v = (top < bv) & (bv < bottom)
-        if skip_self:
-            in_u[np.arange(block.size), :, rows[block]] = False
+        in_u[np.arange(block.size), :, rows[block]] = False
         # Boolean matmul: hit[k, i, j] is true iff some occluder holds (us[j], vs[i]).
         clear = ~(in_v @ in_u.transpose(0, 2, 1)).reshape(block.size, grid * grid)
         found = clear.any(axis=1)
@@ -261,27 +245,15 @@ def _projection_points(subjects: np.ndarray, occluders: np.ndarray, grid: int, *
     return u, v, occluded, conflict
 
 
-def select_projection_point(
-    det: Detection2D, others: Sequence[Detection2D] | np.ndarray, grid: int = 5
-) -> ProjectionPoint:
-    """Pick the pixel whose back-projection will anchor the 3D box.
-
-    `others` holds the occluders, as a sequence of :class:`Detection2D` or
-    as an (M, 4) float array of (left, top, right, bottom) rows.  The bbox
-    center is used unless it lies strictly inside (boundary does not count)
-    another detection.  In that case the central-quarter region (half
-    width/height box around the center) is scanned on a grid x grid lattice
-    in raster order, and the first point inside no other detection wins.
-    If every candidate is occluded the center is returned with the conflict
-    flag set; the caller decides what to do with it.
-    """
-    others = np.asarray(others, dtype=np.float64) if isinstance(others, np.ndarray) else _edge_array(others)
-    u, v, _, conflict = _projection_points(_edge_array([det]), others, grid)
-    return ProjectionPoint(float(u[0]), float(v[0]), conflict=bool(conflict[0]))
-
-
 def _sample_depths(raster: DepthRaster, u: np.ndarray, v: np.ndarray, window: int) -> np.ndarray:
-    """The depth :func:`sample_depth` reads at each (u[i], v[i]); NaN where it has none.
+    """Median of the valid (finite, > 0) depths in the window x window patch at each (u[i], v[i]).
+
+    The patch is centered on the pixel (round(u), round(v)), rounding half to
+    even, and clipped at the raster border; the median resists depth bleeding
+    across object silhouettes.  It is exact, as `np.median` of the valid depths
+    in float64: an even count averages the two middle values.  It is NaN for
+    a point that is not finite or is off the raster, or a patch with no valid
+    pixel.  `window` must be odd.
 
     One gather takes every window x window patch as float64.  Pixels that are
     invalid or off the raster read as +inf, so after a row sort the valid
@@ -306,24 +278,6 @@ def _sample_depths(raster: DepthRaster, u: np.ndarray, v: np.ndarray, window: in
     at, mid = np.arange(u.size), count // 2
     upper, lower = patch[at, mid], patch[at, np.maximum(mid - 1, 0)]
     return np.where(count == 0, np.nan, np.where(count % 2 == 1, upper, (lower + upper) / 2))
-
-
-def sample_depth(raster: DepthRaster, u: float, v: float, window: int = 5) -> float:
-    """Median of the valid depths in a window x window patch around (u, v).
-
-    The median is robust against depth bleeding across object silhouettes.
-    It is exact: the window is read as float64 and, for an even count of
-    valid pixels, the two middle values are averaged, as `np.median` does.
-    Raises :class:`NoValidDepthError` when (u, v) is not finite, is off the
-    raster, or the patch holds no valid pixel.
-    """
-    [depth] = _sample_depths(raster, np.array([u], dtype=np.float64), np.array([v], dtype=np.float64), window)
-    if math.isnan(depth):
-        raise NoValidDepthError(
-            f"no valid depth in the {window}x{window} patch at ({u}, {v})"
-            f" of the {raster.width}x{raster.height} raster"
-        )
-    return float(depth)
 
 
 def estimate_dimensions(
@@ -390,7 +344,7 @@ class LabelingResult:
 def generate_pseudo_labels(
     dets: Sequence[Detection2D],
     depth: DepthRaster,
-    yaws: Sequence,
+    yaws: Sequence[float],
     intr: CameraIntrinsics,
     spec: VirtualCameraSpec,
     prior: DimensionPrior,
@@ -411,26 +365,26 @@ def generate_pseudo_labels(
     descending score (ties keep input order); identical inputs produce
     bit-identical output.
 
-    `yaws` is index-aligned with `dets` and may hold floats or
-    :class:`OrientationEstimate` values.
+    `yaws` is index-aligned with `dets`: one yaw in radians per detection.
     """
     if len(dets) != len(yaws):
         raise MisalignedInputsError(f"{len(dets)} detections vs {len(yaws)} yaw estimates")
     if not (0.0 <= score_threshold <= 1.0):
         raise ValueError(f"score_threshold {score_threshold} outside [0, 1]")
+    if fallback_grid < 1:
+        raise ValueError(f"fallback_grid must be >= 1, got {fallback_grid}")
 
     diag = LabelingDiagnostics(n_detections=len(dets))
     kept = []
-    for det, raw_yaw in zip(dets, yaws):
+    for det, yaw in zip(dets, yaws):
         if det.score >= score_threshold:
-            yaw = raw_yaw if isinstance(raw_yaw, OrientationEstimate) else OrientationEstimate(float(raw_yaw))
-            kept.append((det, yaw))
+            kept.append((det, OrientationEstimate(float(yaw))))
         else:
             diag.n_below_threshold += 1
 
     vintr = geometry.make_virtual_intrinsics(intr, spec)
     edges = _edge_array([d for d, _ in kept])
-    us, vs, occluded, conflict = _projection_points(edges, edges, fallback_grid, skip_self=True)
+    us, vs, occluded, conflict = _projection_points(edges, fallback_grid)
     zs = _sample_depths(depth, us, vs, depth_window)
     has_depth = ~np.isnan(zs)
     has_prior = np.array([prior.for_class(d.class_id) is not None for d, _ in kept], dtype=bool)

@@ -576,6 +576,28 @@ class TestNormalizeCommand:
             for field in ("x", "y", "z", "left", "top", "right", "bottom", "h", "w", "l"):
                 assert getattr(b, field) == pytest.approx(getattr(a, field), abs=0.02)
 
+    def test_dont_care_placeholder_keeps_location(self, tmp_path):
+        labels, calib = self.make_labels(tmp_path)
+        line = "DontCare -1 -1 -10 503.89 169.71 590.61 190.13 -1 -1 -1 -1000 -1000 -1000 -10\n"
+        with open(labels / "000000.txt", "a") as f:
+            f.write(line)
+        fwd, back = tmp_path / "virtual", tmp_path / "restored"
+        args = ["--calib", str(calib), "--image-width", "640", "--image-height", "480",
+                "--focal", "900", "--width", "1274", "--height", "644"]
+        assert main(["normalize", "--labels", str(labels), "--out", str(fwd), *args]) == 0
+        assert main(["normalize", "--labels", str(fwd), "--out", str(back), "--invert", *args]) == 0
+        [orig, virt, restored] = [read_labels(d / "000000.txt")[-1] for d in (labels, fwd, back)]
+        assert orig.type == "DontCare"
+        kept = ("x", "y", "z", "h", "w", "l", "alpha", "rotation_y")
+        for rec in (virt, restored):
+            assert [getattr(rec, f) for f in kept] == [getattr(orig, f) for f in kept]
+        assert (virt.left, virt.top, virt.right, virt.bottom) == pytest.approx(
+            (503.89 * 1274 / 640, 169.71 * 644 / 480, 590.61 * 1274 / 640, 190.13 * 644 / 480), abs=0.005
+        )
+        assert (restored.left, restored.top, restored.right, restored.bottom) == pytest.approx(
+            (orig.left, orig.top, orig.right, orig.bottom), abs=0.02
+        )
+
     def test_depth_rescales_with_focal_ratio(self, tmp_path):
         labels, calib = self.make_labels(tmp_path)
         fwd = tmp_path / "virtual"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mono3dkit import geometry, pseudolabel
-from mono3dkit.errors import MisalignedInputsError, NonPositiveDepthError, NoValidDepthError
+from mono3dkit.errors import MisalignedInputsError, NonPositiveDepthError
 from mono3dkit.geometry import CameraIntrinsics, VirtualCameraSpec
 from mono3dkit.pseudolabel import (
     Box3D,
@@ -19,8 +19,6 @@ from mono3dkit.pseudolabel import (
     PseudoLabel,
     estimate_dimensions,
     generate_pseudo_labels,
-    sample_depth,
-    select_projection_point,
 )
 
 INTR = CameraIntrinsics(fx=700.0, fy=700.0, cx=320.0, cy=240.0, width=640, height=480)
@@ -63,6 +61,18 @@ def scalar_projection_point(subject, others, grid):
             if not any(inside(o, u, v) for o in others):
                 return float(u), float(v), False
     return cu, cv, True
+
+
+def projection_point(subject, others, grid=5):
+    """(u, v, conflict) that pseudolabel._projection_points gives `subject` in an image with `others`."""
+    u, v, _, conflict = pseudolabel._projection_points(pseudolabel._edge_array([subject, *others]), grid)
+    return float(u[0]), float(v[0]), bool(conflict[0])
+
+
+def depth_at(raster, u, v, window):
+    """pseudolabel._sample_depths at one point; None where it gives no depth."""
+    [z] = pseudolabel._sample_depths(raster, np.array([u], dtype=np.float64), np.array([v], dtype=np.float64), window)
+    return None if math.isnan(z) else float(z)
 
 
 def window_depths(raster, u, v, window):
@@ -161,8 +171,8 @@ class TestDomainTypes:
         assert raster.valid.tolist() == [[True, False], [False, True]]
         assert raster.width == 2 and raster.height == 2
 
-    def test_depth_raster_explicit_mask_narrows(self):
-        raster = DepthRaster.from_values(np.ones((2, 2)), valid=[[True, False], [True, True]])
+    def test_depth_raster_nan_marks_invalid(self):
+        raster = DepthRaster.from_values([[1.0, np.nan], [1.0, 1.0]])
         assert raster.valid.sum() == 3
 
     def test_prior_validation(self):
@@ -185,15 +195,13 @@ class TestDomainTypes:
             Box3D("Car", 0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0)
 
 
-class TestSelectProjectionPoint:
+class TestProjectionPoints:
     def test_unoccluded_center(self):
-        point = select_projection_point(det(0, 0, 100, 100), [])
-        assert (point.u, point.v, point.conflict) == (50.0, 50.0, False)
+        assert projection_point(det(0, 0, 100, 100), []) == (50.0, 50.0, False)
 
     def test_occluded_center_falls_back_to_first_clear_grid_point(self):
         subject = det(0, 0, 100, 100)
         occluder = det(0, 0, 60, 100)
-        point = select_projection_point(subject, [occluder])
         # independent enumeration of the 5x5 lattice over the central
         # quarter (25..75 both axes), rows top to bottom
         expected = None
@@ -205,102 +213,90 @@ class TestSelectProjectionPoint:
             if expected:
                 break
         assert expected == (62.5, 25.0)
-        assert (point.u, point.v) == expected
-        assert not point.conflict
+        assert projection_point(subject, [occluder]) == (*expected, False)
 
     def test_fully_occluded_returns_center_with_conflict(self):
         subject = det(0, 0, 100, 100)
         twin = det(0, 0, 100, 100, score=0.8)
-        point = select_projection_point(subject, [twin])
-        assert point.conflict
-        assert (point.u, point.v) == (50.0, 50.0)
+        assert projection_point(subject, [twin]) == (50.0, 50.0, True)
 
     def test_boundary_contact_is_not_occlusion(self):
         subject = det(0, 0, 100, 100)
         # occluder edge passes exactly through the center
         neighbor = det(0, 0, 50, 100)
-        point = select_projection_point(subject, [neighbor])
-        assert (point.u, point.v, point.conflict) == (50.0, 50.0, False)
+        assert projection_point(subject, [neighbor]) == (50.0, 50.0, False)
 
     def test_array_test_equals_scalar_scan(self):
         rng = np.random.default_rng(40)
         outcomes = {"center": 0, "grid": 0, "conflict": 0}
         for n in (50, 120, 250, 400):
             scene = crowded_scene(rng, n)
-            for i in rng.choice(n, 25, replace=False):
-                subject = scene[i]
-                others = scene[:i] + scene[i + 1 :]
+            subjects = rng.choice(n, 25, replace=False).tolist()
+            for i in subjects:
                 if i % 2:
                     # occluders whose edges pass exactly through the subject's center
+                    subject = scene[i]
                     cu, cv = subject.center
-                    others += [
+                    scene += [
                         det(cu, subject.top, cu + 4, subject.bottom),
                         det(cu - 4, subject.top, cu, subject.bottom),
                         det(subject.left, cv, subject.right, cv + 4),
                         det(subject.left, cv - 4, subject.right, cv),
                     ]
-                array = np.array([(o.left, o.top, o.right, o.bottom) for o in others], dtype=np.float64)
-                for grid in (1, 2, 3, 5):
-                    expected = scalar_projection_point(subject, others, grid)
-                    for occluders in (others, array):
-                        point = select_projection_point(subject, occluders, grid=grid)
-                        assert (point.u, point.v, point.conflict) == expected
+            edges = pseudolabel._edge_array(scene)
+            for grid in (1, 2, 3, 5):
+                u, v, _, conflict = pseudolabel._projection_points(edges, grid)
+                points = list(zip(u.tolist(), v.tolist(), conflict.tolist()))
+                for i in subjects:
+                    expected = scalar_projection_point(scene[i], scene[:i] + scene[i + 1 :], grid)
+                    assert points[i] == expected
                     if expected[2]:
                         outcomes["conflict"] += 1
                     else:
-                        outcomes["center" if expected[:2] == subject.center else "grid"] += 1
+                        outcomes["center" if expected[:2] == scene[i].center else "grid"] += 1
         assert min(outcomes.values()) >= 20, outcomes
 
 
-class TestSampleDepth:
+class TestSampleDepths:
     def test_constant_raster(self):
         raster = DepthRaster.from_values(np.full((20, 20), 5.0))
-        assert sample_depth(raster, 10.2, 9.7, window=5) == 5.0
+        assert depth_at(raster, 10.2, 9.7, window=5) == 5.0
 
     def test_median_of_valid_values(self):
         values = np.full((9, 9), np.nan)
         values[4, 3], values[4, 4], values[4, 5] = 1.0, 2.0, 100.0
         raster = DepthRaster.from_values(values)
-        assert sample_depth(raster, 4, 4, window=3) == 2.0
+        assert depth_at(raster, 4, 4, window=3) == 2.0
 
     def test_no_valid_depth(self):
         raster = DepthRaster.from_values(np.full((9, 9), np.nan))
-        with pytest.raises(NoValidDepthError):
-            sample_depth(raster, 4, 4, window=3)
+        assert depth_at(raster, 4, 4, window=3) is None
 
     def test_window_clipped_at_border(self):
         values = np.arange(25, dtype=float).reshape(5, 5) + 1.0
         raster = DepthRaster.from_values(values)
         # corner patch holds {1, 2, 6, 7}
-        assert sample_depth(raster, 0, 0, window=3) == pytest.approx(np.median([1, 2, 6, 7]))
+        assert depth_at(raster, 0, 0, window=3) == pytest.approx(np.median([1, 2, 6, 7]))
 
-    def test_even_window_rejected(self):
+    @pytest.mark.parametrize("window", [4, 0])
+    def test_even_window_rejected(self, window):
         raster = DepthRaster.from_values(np.ones((5, 5)))
         with pytest.raises(ValueError):
-            sample_depth(raster, 2, 2, window=4)
+            depth_at(raster, 2, 2, window=window)
 
-    def test_point_outside_raster_rejected(self):
-        raster = DepthRaster.from_values(np.ones((5, 5)))
-        with pytest.raises(ValueError):
-            sample_depth(raster, 10, 2, window=3)
-
-    def test_point_outside_raster_is_no_valid_depth(self):
+    def test_point_outside_raster_has_no_depth(self):
         raster = DepthRaster.from_values(np.ones((5, 5)))
         for u, v in ((10, 2), (2, -1), (-0.6, 2), (2, 4.6)):
-            with pytest.raises(NoValidDepthError):
-                sample_depth(raster, u, v, window=3)
+            assert depth_at(raster, u, v, window=3) is None
 
-    def test_narrowed_pixels_skipped(self):
+    def test_invalid_pixels_skipped(self):
         values = np.full((5, 5), 4.0)
         values[2, 2] = 50.0
-        valid = np.ones((5, 5), dtype=bool)
-        valid[1:4, 1:3] = False  # hides 50.0 and five 4.0s, leaving three 4.0s
-        raster = DepthRaster.from_values(values, valid=valid)
-        assert sample_depth(raster, 2, 2, window=3) == 4.0
-        assert DepthRaster.from_values(values).valid.all()
-        assert sample_depth(DepthRaster.from_values(values), 2, 2, window=1) == 50.0
-        with pytest.raises(NoValidDepthError):
-            sample_depth(raster, 2, 2, window=1)
+        assert depth_at(DepthRaster.from_values(values), 2, 2, window=1) == 50.0
+        values[1:4, 1:3] = np.nan  # hides 50.0 and five 4.0s, leaving three 4.0s
+        raster = DepthRaster.from_values(values)
+        assert depth_at(raster, 2, 2, window=3) == 4.0
+        assert depth_at(raster, 2, 2, window=1) is None
 
     def test_even_count_median_on_float32_raster_is_upcast_median(self):
         window = np.array([[7.1, np.nan, 7.3], [0.0, 9.0, -1.0], [np.inf, 12.7, np.nan]], dtype=np.float32)
@@ -312,7 +308,7 @@ class TestSampleDepth:
         values[2:5, 2:5] = window
         raster = DepthRaster(values=values)
         assert raster.values.dtype == np.float32
-        assert sample_depth(raster, 3, 3, window=3) == float(np.median(upcast))
+        assert depth_at(raster, 3, 3, window=3) == float(np.median(upcast))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_exact_median_equals_upcast_np_median(self, dtype):
@@ -333,18 +329,16 @@ class TestSampleDepth:
                     valid = np.isfinite(upcast) & (upcast > 0)
                     u, v = col + rng.uniform(-0.49, 0.49), row + rng.uniform(-0.49, 0.49)
                     if not valid.any():
-                        with pytest.raises(NoValidDepthError):
-                            sample_depth(raster, u, v, window=window)
+                        assert depth_at(raster, u, v, window=window) is None
                         continue
-                    assert sample_depth(raster, u, v, window=window) == float(np.median(upcast[valid]))
+                    assert depth_at(raster, u, v, window=window) == float(np.median(upcast[valid]))
                     seen.add((int(valid.sum()) % 2, patch.size < window * window))
         assert seen == {(0, False), (1, False), (0, True), (1, True)}
 
     @pytest.mark.parametrize("u,v", [(math.inf, 2), (2, -math.inf), (math.nan, 2), (2, math.nan)])
-    def test_non_finite_point_is_no_valid_depth(self, u, v):
+    def test_non_finite_point_has_no_depth(self, u, v):
         raster = DepthRaster.from_values(np.ones((5, 5)))
-        with pytest.raises(NoValidDepthError):
-            sample_depth(raster, u, v, window=3)
+        assert depth_at(raster, u, v, window=3) is None
 
     def test_raster_must_be_2d(self):
         with pytest.raises(ValueError):
@@ -539,6 +533,15 @@ class TestGeneratePseudoLabels:
         scores = [b.score for b in result.boxes]
         assert scores == sorted(scores, reverse=True)
 
+    @pytest.mark.parametrize("grid", [0, -2])
+    def test_fallback_grid_below_one_rejected(self, grid):
+        # Twins occlude each other's centers, so the lattice would be built.
+        for dets in ([det(100, 100, 200, 300)], [det(100, 100, 200, 300), det(100, 100, 200, 300, score=0.8)]):
+            with pytest.raises(ValueError, match="fallback_grid"):
+                generate_pseudo_labels(
+                    dets, self.constant_raster(), [0.0] * len(dets), INTR, IDENTITY_SPEC, PRIOR, fallback_grid=grid
+                )
+
     def test_misaligned_inputs_rejected(self):
         with pytest.raises(MisalignedInputsError):
             generate_pseudo_labels([det(0, 0, 10, 10)], self.constant_raster(), [], INTR, IDENTITY_SPEC, PRIOR)
@@ -636,7 +639,7 @@ class TestOneArrayPassPerImage:
 
     def test_empty_arrays(self):
         empty = np.empty((0, 4))
-        assert [a.shape for a in pseudolabel._projection_points(empty, empty, 5, skip_self=True)] == [(0,)] * 4
+        assert [a.shape for a in pseudolabel._projection_points(empty, 5)] == [(0,)] * 4
         raster = DepthRaster.from_values(np.ones((5, 5)))
         assert pseudolabel._sample_depths(raster, np.empty(0), np.empty(0), 3).shape == (0,)
 

@@ -454,9 +454,20 @@ def _add_eval(sub) -> None:
     p.set_defaults(func=cmd_eval)
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy's seed sequences take no negative entropy."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_gradcheck(sub) -> None:
     p = sub.add_parser("gradcheck", help="finite-difference check of every kernel gradient")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--points", type=int, default=100)
     p.add_argument("--report", default=None, help="write a JSON report here")
     p.set_defaults(func=cmd_gradcheck)

@@ -1,10 +1,15 @@
-"""Loss and gating kernels with eager analytic gradients.
+"""Loss and gating kernels with analytic gradients.
 
 Every kernel returns a :class:`LossReport` holding the scalar value and the
-gradient with respect to each differentiable input.  There is no tape:
-gradients are computed alongside the forward pass and callers compose them
-manually.  The point of this module is formula verification, not training,
-so every gradient is checkable against :func:`finite_diff_check`.
+gradient with respect to each differentiable input.  There is no tape, and
+callers compose gradients manually.  The costlier kernels build their
+gradients from the forward pass's own arrays on the first read of
+``LossReport.grads``, so a caller that reads only ``.value`` (each
+finite-difference probe) never pays for them.  A kernel copies the caller
+arrays its gradients need, and :class:`MaskPair` holds read-only copies, so
+mutating an input after the call does not change the report.  The point of
+this module is formula verification, not training, so every gradient is
+checkable against :func:`finite_diff_check`.
 
 Vector-valued operations (:func:`query_gate`, :func:`bin_centers`) report
 the gradient of a cotangent-weighted sum of their outputs, which is what a
@@ -14,7 +19,7 @@ finite-difference probe can observe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -50,13 +55,33 @@ __all__ = [
 GRADIENT_ERROR_BOUND = 1e-4
 
 
-@dataclass(frozen=True)
 class LossReport:
-    """Scalar loss value plus named gradients, one per differentiable input."""
+    """Scalar loss value plus named gradients, one per differentiable input.
 
-    value: float
-    grads: dict = field(default_factory=dict)
-    notes: tuple = ()
+    `grads` is the dict itself or a zero-argument function that returns it.
+    A function runs once, on the first read of ``.grads``, and every later
+    read returns the same dict.  A warning or error from the gradient
+    arithmetic therefore surfaces at that first read, not at the kernel call.
+    """
+
+    __slots__ = ("value", "notes", "_grads")
+
+    def __init__(self, value: float, grads=None, notes: tuple = ()):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "notes", notes)
+        object.__setattr__(self, "_grads", {} if grads is None else grads)
+
+    @property
+    def grads(self) -> dict:
+        if callable(self._grads):
+            object.__setattr__(self, "_grads", self._grads())
+        return self._grads
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"LossReport is read-only: cannot set {name!r}")
+
+    def __repr__(self):
+        return f"LossReport(value={self.value!r}, notes={self.notes!r})"
 
 
 @dataclass(frozen=True)
@@ -79,6 +104,8 @@ class BinSpec:
         object.__setattr__(self, "delta", np.asarray(self.delta, dtype=float))
         if self.delta.ndim != 1 or self.delta.size < 1:
             raise ValueError("delta must be a non-empty 1-d array")
+        if not np.isfinite(self.delta).all():
+            raise ValueError("delta must be finite")
         if not self.depth_min < self.depth_max:
             raise ValueError(f"depth range [{self.depth_min}, {self.depth_max}] is empty")
 
@@ -93,9 +120,11 @@ class GaussianDepth:
     target_std: float
 
     def __post_init__(self):
-        if self.std <= 0:
+        # `not x > 0`, not `x <= 0`: NaN fails every comparison, so it fails
+        # the guard too.  Every scalar guard in this module is written so.
+        if not self.std > 0:
             raise ValueError(f"predicted std must be > 0, got {self.std}")
-        if self.target_std <= 0:
+        if not self.target_std > 0:
             raise ValueError(f"target std must be > 0, got {self.target_std}")
 
 
@@ -107,8 +136,11 @@ class MaskPair:
     target: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "pred", np.asarray(self.pred, dtype=float))
-        object.__setattr__(self, "target", np.asarray(self.target, dtype=float))
+        # Read-only copies: a kernel's deferred gradients read them later.
+        for name in ("pred", "target"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         if self.pred.shape != self.target.shape:
             raise ShapeMismatchError(f"pred {self.pred.shape} vs target {self.target.shape}")
         if self.pred.size == 0:
@@ -139,14 +171,15 @@ def query_gate(queries, context, params: GateParams, grad_output=None):
     sum(grad_output * output) (grad_output defaults to ones) with gradients
     for 'queries', 'context', 'weight' and 'bias'.
     """
-    q = np.asarray(queries, dtype=float)
-    g = np.asarray(context, dtype=float)
+    # Copies, not views: the deferred gradients read them after the call.
+    q = np.array(queries, dtype=float)
+    g = np.array(context, dtype=float)
     if q.ndim != 3:
         raise ShapeMismatchError(f"queries must be (B, Q, d), got {q.shape}")
     d = q.shape[2]
     if g.shape != (d,):
         raise ShapeMismatchError(f"context must be ({d},), got {g.shape}")
-    weight = np.asarray(params.weight, dtype=float)
+    weight = np.array(params.weight, dtype=float)
     if weight.shape != (d, 2 * d):
         raise ShapeMismatchError(f"weight must be ({d}, {2 * d}), got {weight.shape}")
     bias = np.zeros(d) if params.bias is None else np.asarray(params.bias, dtype=float)
@@ -159,29 +192,23 @@ def query_gate(queries, context, params: GateParams, grad_output=None):
     gate = _sigmoid(pre)
     gated = gate * q
 
-    cot = np.ones_like(gated) if grad_output is None else np.asarray(grad_output, dtype=float)
+    cot = np.ones_like(gated) if grad_output is None else np.array(grad_output, dtype=float)
     if cot.shape != gated.shape:
         raise ShapeMismatchError(f"grad_output must be {gated.shape}, got {cot.shape}")
-
-    # e = d(value)/d(pre-activation)
-    e = cot * q * gate * (1.0 - gate)
-    grad_queries = cot * gate + e @ w_q
-    e_flat = e.reshape(-1, d)
-    q_flat = q.reshape(-1, d)
-    e_sum = e_flat.sum(axis=0)
-    grad_context = e_sum @ w_g
-    grad_weight = np.concatenate((e_flat.T @ q_flat, np.outer(e_sum, g)), axis=1)
     value = float((cot * gated).sum())
-    report = LossReport(
-        value=value,
-        grads={
-            "queries": grad_queries,
-            "context": grad_context,
-            "weight": grad_weight,
-            "bias": e_sum,
-        },
-    )
-    return gated, report
+
+    def grads():
+        # e = d(value)/d(pre-activation)
+        e = cot * q * gate * (1.0 - gate)
+        grad_queries = cot * gate + e @ w_q
+        e_flat = e.reshape(-1, d)
+        q_flat = q.reshape(-1, d)
+        e_sum = e_flat.sum(axis=0)
+        grad_context = e_sum @ w_g
+        grad_weight = np.concatenate((e_flat.T @ q_flat, np.outer(e_sum, g)), axis=1)
+        return {"queries": grad_queries, "context": grad_context, "weight": grad_weight, "bias": e_sum}
+
+    return gated, LossReport(value, grads)
 
 
 def diversity_loss(queries) -> LossReport:
@@ -207,10 +234,13 @@ def diversity_loss(queries) -> LossReport:
     total = unit.sum(axis=1)
     denom = b * n_q * (n_q - 1)
     value = float((np.einsum("bd,bd->b", total, total).sum() - b * n_q) / denom)
-    # d/dq_i of |sum u|^2 is 2 (I - u_i u_i^T) s / |q_i|
-    proj = np.einsum("bqd,bd->bq", unit, total)
-    grad = 2.0 * (total[:, None, :] - unit * proj[..., None]) / norms[..., None] / denom
-    return LossReport(value=value, grads={"queries": grad})
+
+    def grads():
+        # d/dq_i of |sum u|^2 is 2 (I - u_i u_i^T) s / |q_i|
+        proj = np.einsum("bqd,bd->bq", unit, total)
+        return {"queries": 2.0 * (total[:, None, :] - unit * proj[..., None]) / norms[..., None] / denom}
+
+    return LossReport(value, grads)
 
 
 def bin_centers(spec: BinSpec):
@@ -257,14 +287,13 @@ def dice_loss(pair: MaskPair, smooth: float = 1e-6) -> LossReport:
 
     Gradient over 'pred'.
     """
-    if smooth <= 0:
+    if not smooth > 0:
         raise ValueError(f"smooth must be > 0, got {smooth}")
     p, g = pair.pred, pair.target
     num = 2.0 * float((p * g).sum()) + smooth
     den = float(p.sum() + g.sum()) + smooth
     value = 1.0 - num / den
-    grad = -(2.0 * g * den - num) / (den * den)
-    return LossReport(value=float(value), grads={"pred": grad})
+    return LossReport(float(value), lambda: {"pred": -(2.0 * g * den - num) / (den * den)})
 
 
 def bce_loss(pair: MaskPair, clip: float = 1e-7) -> LossReport:
@@ -278,9 +307,13 @@ def bce_loss(pair: MaskPair, clip: float = 1e-7) -> LossReport:
     p, g = pair.pred, pair.target
     pc = p.clip(clip, 1.0 - clip)
     value = float((-(g * np.log(pc) + (1.0 - g) * np.log1p(-pc))).sum() / p.size)
-    grad = (-g / pc + (1.0 - g) / (1.0 - pc)) / p.size
-    grad[(p <= clip) | (p >= 1.0 - clip)] = 0.0
-    return LossReport(value=value, grads={"pred": grad})
+
+    def grads():
+        grad = (-g / pc + (1.0 - g) / (1.0 - pc)) / p.size
+        grad[(p <= clip) | (p >= 1.0 - clip)] = 0.0
+        return {"pred": grad}
+
+    return LossReport(value, grads)
 
 
 def region_loss(
@@ -300,13 +333,20 @@ def region_loss(
         raise EmptyInputError("region_loss needs at least one scale")
     n = len(pairs)
     value = 0.0
-    grads = {}
-    for i, pair in enumerate(pairs):
+    parts = []
+    for pair in pairs:
         d = dice_loss(pair, smooth=smooth)
         b = bce_loss(pair, clip=clip)
         value += (weight_dice * d.value + weight_bce * b.value) / n
-        grads[f"pred_{i}"] = (weight_dice * d.grads["pred"] + weight_bce * b.grads["pred"]) / n
-    return LossReport(value=value, grads=grads)
+        parts.append((d, b))
+
+    def grads():
+        return {
+            f"pred_{i}": (weight_dice * d.grads["pred"] + weight_bce * b.grads["pred"]) / n
+            for i, (d, b) in enumerate(parts)
+        }
+
+    return LossReport(value, grads)
 
 
 def consistency_loss(
@@ -326,9 +366,9 @@ def consistency_loss(
     beyond).  Gradients over 'dim3d' and 'depth' are zero wherever the
     clamp saturates.
     """
-    if depth <= 0:
+    if not depth > 0:
         raise NonPositiveDepthError(f"depth must be > 0, got {depth}")
-    if clamp_bound <= 0 or smooth_delta <= 0:
+    if not (clamp_bound > 0 and smooth_delta > 0):
         raise ValueError("clamp_bound and smooth_delta must be > 0")
     s_proj = fx * dim3d / depth
     raw = s_proj - size2d
@@ -350,7 +390,9 @@ def outlier_filter(losses, k: float = 2.0):
 
     The threshold is median + k * population std of the loss set; an
     element is kept iff it does not exceed the threshold.  Returns
-    (keep_mask, threshold).  The median element always survives.
+    (keep_mask, threshold).  The median element always survives.  A NaN
+    or infinite loss raises ValueError: it would make the threshold NaN
+    and drop every element.
     """
     arr = np.asarray(losses, dtype=float)
     if arr.ndim != 1:
@@ -359,6 +401,8 @@ def outlier_filter(losses, k: float = 2.0):
         raise EmptyInputError("outlier_filter needs at least one loss")
     if not (0 <= k < math.inf):
         raise ValueError(f"k must be finite and >= 0, got {k}")
+    if not np.isfinite(arr).all():
+        raise ValueError("losses must be finite")
     tau = float(np.median(arr) + k * arr.std())
     return arr <= tau, tau
 
@@ -368,7 +412,7 @@ def l2_reg(params: Sequence, weight: float) -> LossReport:
 
     Gradients are keyed 'param_0' .. 'param_{N-1}'.
     """
-    if weight < 0:
+    if not weight >= 0:
         raise ValueError(f"weight must be >= 0, got {weight}")
     value = 0.0
     grads = {}
@@ -392,7 +436,7 @@ def finite_diff_check(fn, inputs: dict, h: float = 1e-5) -> float:
     and v - h in place and restored, so the caller's inputs are untouched.
     Array inputs reach `fn` as float arrays, scalar inputs as floats.
     """
-    if h <= 0:
+    if not h > 0:
         raise ValueError(f"h must be > 0, got {h}")
     base = fn(**inputs)
     args = dict(inputs)
@@ -536,9 +580,11 @@ def run_gradient_suite(seed: int = 0, points: int = 100, h: float = 1e-5) -> dic
 
     Each kernel is probed at `points` seeded random smooth instances (kink
     neighborhoods excluded); returns {kernel: worst relative error}.
-    Raises ValueError when `points` < 1: a sweep over no instances checks
-    nothing.
+    Raises ValueError when `seed` < 0 (a seed sequence takes no negative
+    entropy) or `points` < 1 (a sweep over no instances checks nothing).
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if points < 1:
         raise ValueError(f"points must be >= 1, got {points}")
     results = {}

@@ -425,6 +425,12 @@ class TestGradcheckCommand:
         assert "PASS" not in capsys.readouterr().out
         assert not report.exists()
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        report = tmp_path / "grad.json"
+        assert main(["gradcheck", "--seed", "-1", "--report", str(report)]) == 1
+        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_injected_gradient_bug_fails(self, monkeypatch, tmp_path):
         real = kernels.depth_kl
 
@@ -812,7 +818,7 @@ PARSER_CASES = {
     ),
     "gradcheck": (
         ["--seed", "3", "--points", "5", "--report", "r.json"],
-        [["--seed"], ["--points", "many"], ["--bogus"]],
+        [["--seed"], ["--seed", "-1"], ["--points", "many"], ["--bogus"]],
     ),
     "stats": (
         ["--pred", "p", "--class-name", "Car", "--bin-width", "0.1"],

@@ -501,6 +501,10 @@ class TestGradientSuite:
     def test_deterministic(self):
         assert run_gradient_suite(seed=3, points=2) == run_gradient_suite(seed=3, points=2)
 
+    def test_negative_seed_rejected_by_name(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            run_gradient_suite(seed=-1, points=1)
+
     def test_nan_gradient_is_reported_as_inf(self, monkeypatch):
         real = kernels.depth_kl
 
@@ -512,3 +516,125 @@ class TestGradientSuite:
         results = run_gradient_suite(seed=0, points=3)
         assert results["depth_kl"] == math.inf
         assert all(err < GRADIENT_ERROR_BOUND for name, err in results.items() if name != "depth_kl")
+
+
+class TestDeferredGradients:
+    """Kernels build .grads on its first read, from the inputs as they were at the call."""
+
+    def test_finite_diff_check_builds_gradients_once_on_the_base_report(self):
+        calls = []
+
+        def fn(x):
+            def grads():
+                calls.append(x.tobytes())
+                return {"x": 2.0 * x}
+
+            return LossReport(float((x * x).sum()), grads)
+
+        x = np.array([1.0, -2.0, 0.5])
+        assert finite_diff_check(fn, {"x": x}) < 1e-8
+        assert calls == [x.tobytes()]
+
+    @staticmethod
+    def assert_same_grads(got, want):
+        assert got.value == want.value
+        assert list(got.grads) == list(want.grads)
+        for name in want.grads:
+            assert np.asarray(got.grads[name]).tobytes() == np.asarray(want.grads[name]).tobytes(), name
+
+    def test_query_gate_ignores_later_mutation(self):
+        rng = np.random.default_rng(20)
+        arrays = [rng.normal(size=(2, 3, 4)), rng.normal(size=4), rng.normal(size=(4, 8)), rng.normal(size=4),
+                  rng.normal(size=(2, 3, 4))]
+        copies = [a.copy() for a in arrays]
+
+        def call(q, g, w, b, cot):
+            return query_gate(q, g, GateParams(w, b), grad_output=cot)[1]
+
+        report = call(*arrays)
+        for a in arrays:
+            a += 1.0
+        self.assert_same_grads(report, call(*copies))
+
+    @pytest.mark.parametrize(
+        "kernel", [dice_loss, bce_loss, lambda pair: region_loss([pair, pair])], ids=["dice", "bce", "region"]
+    )
+    def test_mask_kernels_ignore_later_mutation(self, kernel):
+        rng = np.random.default_rng(21)
+        pred, target = rng.uniform(0.05, 0.95, size=(2, 5, 5))
+        copies = pred.copy(), target.copy()
+        report = kernel(MaskPair(pred, target))
+        pred[:] = 1.0 - pred
+        target[:] = 0.5
+        self.assert_same_grads(report, kernel(MaskPair(*copies)))
+
+    def test_diversity_loss_ignores_later_mutation(self):
+        q = np.random.default_rng(23).normal(size=(2, 4, 3))
+        copy = q.copy()
+        report = diversity_loss(q)
+        q *= -2.0
+        self.assert_same_grads(report, diversity_loss(copy))
+
+    def test_mask_pair_holds_read_only_copies(self):
+        pred, target = np.full(4, 0.5), np.zeros(4)
+        pair = MaskPair(pred, target)
+        assert pair.pred is not pred and pair.target is not target
+        for arr in (pair.pred, pair.target):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        pred[0] = 1.0
+        assert pair.pred.tolist() == [0.5] * 4
+
+    def test_grads_read_twice_is_the_same_dict(self):
+        report = diversity_loss(np.random.default_rng(22).normal(size=(1, 3, 4)))
+        assert report.grads is report.grads
+
+    def test_eager_construction_is_unchanged(self):
+        grads = {"x": np.ones(2)}
+        positional = LossReport(1.5, grads)
+        assert (positional.value, positional.grads, positional.notes) == (1.5, grads, ())
+        keyword = LossReport(value=2.0, grads=grads, notes=("flag",))
+        assert keyword.grads is grads and keyword.notes == ("flag",)
+        assert LossReport(0.0).grads == {}
+        with pytest.raises(AttributeError):
+            keyword.value = 3.0
+
+
+class TestNaNFailsEveryGuard:
+    """Each scalar guard rejects NaN with the message it gives an out-of-range value."""
+
+    @pytest.mark.parametrize(
+        "call, out_of_range, error, message",
+        [
+            (lambda v: consistency_loss(1.0, v, 900.0, 10.0), 0.0, NonPositiveDepthError, "depth must be > 0"),
+            (lambda v: consistency_loss(1.0, 9.0, 900.0, 10.0, clamp_bound=v), 0.0, ValueError,
+             "clamp_bound and smooth_delta must be > 0"),
+            (lambda v: consistency_loss(1.0, 9.0, 900.0, 10.0, smooth_delta=v), 0.0, ValueError,
+             "clamp_bound and smooth_delta must be > 0"),
+            (lambda v: GaussianDepth(mean=1.0, std=v, target=1.0, target_std=0.1), 0.0, ValueError,
+             "predicted std must be > 0"),
+            (lambda v: GaussianDepth(mean=1.0, std=1.0, target=1.0, target_std=v), 0.0, ValueError,
+             "target std must be > 0"),
+            (lambda v: l2_reg([np.ones(2)], weight=v), -1.0, ValueError, "weight must be >= 0"),
+            (lambda v: dice_loss(MaskPair(np.ones(2), np.ones(2)), smooth=v), 0.0, ValueError,
+             "smooth must be > 0"),
+            (lambda v: finite_diff_check(lambda x: LossReport(0.0, {}), {"x": np.ones(1)}, h=v), 0.0,
+             ValueError, "h must be > 0"),
+        ],
+        ids=["depth", "clamp_bound", "smooth_delta", "std", "target_std", "l2_weight", "dice_smooth", "fd_step"],
+    )
+    @pytest.mark.parametrize("nan", [False, True], ids=["out_of_range", "nan"])
+    def test_scalar_guard(self, call, out_of_range, error, message, nan):
+        bad = math.nan if nan else out_of_range
+        with pytest.raises(error, match=message):
+            call(bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_bin_spec_rejects_non_finite_delta(self, bad):
+        with pytest.raises(ValueError, match="delta must be finite"):
+            BinSpec(delta=np.array([0.0, bad, 1.0]), depth_min=2.0, depth_max=46.8)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_outlier_filter_rejects_non_finite_losses(self, bad):
+        with pytest.raises(ValueError, match="losses must be finite"):
+            outlier_filter([1.0, 2.0, bad])

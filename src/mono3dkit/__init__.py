@@ -5,9 +5,7 @@ with analytic gradients, robust filtering, and KITTI-protocol evaluation.
 
 from .config import DEFAULT_PRIORS, PipelineConfig, load_config
 from .dataio import (
-    CalibRecord,
     DetectionEntry,
-    DetectionFile,
     KittiLabelRecord,
     read_calib,
     read_depth,

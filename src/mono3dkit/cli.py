@@ -12,7 +12,6 @@ malformed files), 3 invariant violation.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import fields, replace
@@ -56,23 +55,10 @@ def _load_pipeline_config(args) -> PipelineConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
-def _read_intrinsics(calib_path: Path, width: int, height: int) -> geometry.CameraIntrinsics:
-    """P2 intrinsics from a calibration file; intrinsics it cannot yield are a ParseError naming it."""
-    calib = dataio.read_calib(calib_path)
-    try:
-        return calib.intrinsics(width, height)
-    except (InvalidIntrinsicsError, DataIOError) as exc:
-        raise ParseError(str(exc), path=calib_path) from None
-
-
 def _gather_detections(det_dir: Path):
-    files = sorted(det_dir.glob("*.jsonl"))
-    if not files:
-        raise DataIOError(f"no detection files in {det_dir}")
     images = {}
-    for f in files:
-        parsed = dataio.read_detections(f)
-        for image, entries in parsed.images.items():
+    for f in dataio.input_files(det_dir, "*.jsonl", "detection"):
+        for image, entries in dataio.read_detections(f).items():
             if image in images:
                 raise DataIOError(f"image {image!r} appears in more than one detection file")
             images[image] = entries
@@ -102,24 +88,12 @@ def _label_record(entry: pseudolabel.PseudoLabel) -> dataio.KittiLabelRecord:
     )
 
 
-def _write_label_dir(out_dir: Path, labels) -> None:
-    """Write each `{path: records}` label file, first refusing any *.txt in
-    `out_dir` that this run would not write, so no earlier run's label mixes in."""
-    stale = sorted(set(out_dir.glob("*.txt")) - labels.keys())
-    if stale:
-        raise DataIOError(f"{stale[0]} is not a label this run writes; remove it or choose an empty --out")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for path, records in labels.items():
-        dataio.write_labels(records, path)
-
-
 def cmd_pseudolabel(args) -> int:
     cfg = _load_pipeline_config(args)
-    det_dir, depth_dir = Path(args.detections), Path(args.depth)
-    calib_dir, out_dir = Path(args.calib), Path(args.out)
-    for d, what in ((det_dir, "detections"), (depth_dir, "depth"), (calib_dir, "calib")):
-        if not d.is_dir():
-            raise DataIOError(f"{what} directory {d} does not exist")
+    det_dir = dataio.input_dir(args.detections, "detections")
+    depth_dir = dataio.input_dir(args.depth, "depth")
+    calib_dir = dataio.input_dir(args.calib, "calib")
+    out_dir = Path(args.out)
 
     images = _gather_detections(det_dir)
     image_ids = sorted(images)
@@ -130,7 +104,7 @@ def cmd_pseudolabel(args) -> int:
     labels = {}
     for image_id in image_ids:
         depth = dataio.read_depth(depth_dir / f"{image_id}.dpr")
-        intr = _read_intrinsics(calib_dir / f"{image_id}.txt", depth.width, depth.height)
+        intr = dataio.read_calib(calib_dir / f"{image_id}.txt", depth.width, depth.height)
         entries = images[image_id]
         result = pseudolabel.generate_pseudo_labels(
             [e.detection for e in entries],
@@ -146,7 +120,7 @@ def cmd_pseudolabel(args) -> int:
         labels[out_dir / f"{image_id}.txt"] = [_label_record(e) for e in result.labels]
         for f in fields(totals):
             setattr(totals, f.name, getattr(totals, f.name) + getattr(result.diagnostics, f.name))
-    _write_label_dir(out_dir, labels)
+    dataio.write_label_dir(out_dir, labels)
 
     _echo(
         [
@@ -193,18 +167,13 @@ def _records_to_boxes(records, class_name, path):
 
 
 def cmd_eval(args) -> int:
-    pred_dir, gt_dir = Path(args.pred), Path(args.gt)
-    for d, what in ((pred_dir, "prediction"), (gt_dir, "ground-truth")):
-        if not d.is_dir():
-            raise DataIOError(f"{what} directory {d} does not exist")
+    pred_dir = dataio.input_dir(args.pred, "prediction")
+    gt_dir = dataio.input_dir(args.gt, "ground-truth")
     iou = args.iou if args.iou is not None else (0.5 if args.metric == "bbox2d" else 0.7)
     cfg = eval3d.MatchConfig(iou_threshold=iou, metric=args.metric)
 
-    gt_files = sorted(gt_dir.glob("*.txt"))
-    if not gt_files:
-        raise DataIOError(f"no label files in {gt_dir}")
     gt_records_per_image, frames_all = [], []
-    for gt_path in gt_files:
+    for gt_path in dataio.input_files(gt_dir, "*.txt", "label"):
         pred_path = pred_dir / gt_path.name
         gt_records = [r for r in dataio.read_labels(gt_path) if r.type == args.class_name]
         pred_records = dataio.read_labels(pred_path)
@@ -268,7 +237,7 @@ def cmd_eval(args) -> int:
                 for name in rows
             },
         }
-        dataio._write_bytes(Path(args.report), (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode(), "report")
+        dataio.write_report(payload, args.report)
     return 0
 
 
@@ -294,7 +263,7 @@ def cmd_gradcheck(args) -> int:
             },
             "passed": all_pass,
         }
-        dataio._write_bytes(Path(args.report), (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode(), "report")
+        dataio.write_report(payload, args.report)
     return 0 if all_pass else 3
 
 
@@ -302,24 +271,15 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    pred_dir = Path(args.pred)
-    if not pred_dir.is_dir():
-        raise DataIOError(f"prediction directory {pred_dir} does not exist")
-    files = sorted(pred_dir.glob("*.txt"))
-    if not files:
-        raise DataIOError(f"no label files in {pred_dir}")
+    pred_dir = dataio.input_dir(args.pred, "prediction")
     boxes = []
-    for path in files:
+    for path in dataio.input_files(pred_dir, "*.txt", "label"):
         boxes += _records_to_boxes(dataio.read_labels(path), args.class_name, path)[0]
     if not boxes:
         raise EmptyInputError(f"no {args.class_name!r} boxes in {pred_dir}")
     stats = eval3d.height_histogram(boxes, bin_width=args.bin_width)
     if args.out:
-        lines = [
-            f"{center:.6f} {count}"
-            for center, count in zip(stats.bin_centers(), stats.counts)
-        ]
-        dataio._write_bytes(Path(args.out), "".join(line + "\n" for line in lines).encode(), "histogram")
+        dataio.write_histogram(stats.bin_centers(), stats.counts, args.out)
     _echo(
         [
             f"count = {stats.count}",
@@ -337,22 +297,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_filter(args) -> int:
-    path = Path(args.losses)
-    text = dataio._read_text(path, "losses", "utf-8")
-    names, values = [], []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = line.split()
-        if not tokens:
-            continue
-        if len(tokens) == 1:
-            names.append(str(len(values)))
-            raw = tokens[0]
-        elif len(tokens) == 2:
-            names.append(tokens[0])
-            raw = tokens[1]
-        else:
-            raise ParseError(f"expected 'loss' or 'name loss', got {line!r}", path=path, line=lineno)
-        values.append(dataio._parse_float(raw, path, lineno, "loss"))
+    names, values = dataio.read_losses(args.losses)
     keep, tau = kernels.outlier_filter(values, k=args.k)
     print(f"tau = {tau:.6f}")
     for name, value, kept in zip(names, values, keep):
@@ -393,24 +338,23 @@ def _transform_record(rec, intr, spec, vintr, invert):
 
 
 def cmd_normalize(args) -> int:
-    label_dir, calib_dir, out_dir = Path(args.labels), Path(args.calib), Path(args.out)
-    for d, what in ((label_dir, "label"), (calib_dir, "calib")):
-        if not d.is_dir():
-            raise DataIOError(f"{what} directory {d} does not exist")
+    label_dir = dataio.input_dir(args.labels, "label")
+    calib_dir = dataio.input_dir(args.calib, "calib")
+    out_dir = Path(args.out)
     spec = geometry.VirtualCameraSpec(focal=args.focal, width=args.width, height=args.height)
+    for flag, size in (("--image-width", args.image_width), ("--image-height", args.image_height)):
+        if size <= 0:
+            raise InvalidIntrinsicsError(f"{flag} must be positive, got {size}")
 
-    label_paths = sorted(label_dir.glob("*.txt"))
-    if not label_paths:
-        raise DataIOError(f"no label files in {label_dir}")
     labels = {}
-    for label_path in label_paths:
-        intr = _read_intrinsics(calib_dir / label_path.name, args.image_width, args.image_height)
+    for label_path in dataio.input_files(label_dir, "*.txt", "label"):
+        intr = dataio.read_calib(calib_dir / label_path.name, args.image_width, args.image_height)
         vintr = geometry.make_virtual_intrinsics(intr, spec)
         labels[out_dir / label_path.name] = [
             _transform_record(rec, intr, spec, vintr, args.invert)
             for rec in dataio.read_labels(label_path)
         ]
-    _write_label_dir(out_dir, labels)
+    dataio.write_label_dir(out_dir, labels)
     _echo(
         [f"files = {len(labels)}", f"direction = {'from-virtual' if args.invert else 'to-virtual'}"],
         header="summary",

@@ -4,11 +4,14 @@ Formats:
 
 * KITTI object labels: 15 or 16 whitespace-separated fields per line,
   floats at 2 decimal places.  write(read(write(x))) is byte-identical.
-* KITTI calibration files: "KEY: v0 v1 ..." lines; camera intrinsics are
-  derived from a 3x4 projection matrix.
+* KITTI calibration files: "KEY: v0 v1 ..." lines; the camera intrinsics
+  are P2's 3x4 projection matrix at a given image size.
 * Detections: JSON-lines with a schema header line, one image per record.
 * Depth rasters: binary "DPR1" magic, uint32 width/height, little-endian
   float32 payload; non-finite or <= 0 values mark invalid pixels.
+* Loss lists: one "loss" or "name loss" line per value.
+* Height histograms: one "bin-center count" line per bin.
+* JSON reports: sorted keys, two-space indent and a trailing newline.
 
 Readers reject malformed input instead of repairing it, and every parse
 error names the file and line.  Every number in a text file must be
@@ -39,25 +42,29 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .errors import DataIOError, ParseError
+from .errors import DataIOError, InvalidIntrinsicsError, ParseError
 from .geometry import CameraIntrinsics
 from .pseudolabel import Detection2D, DepthRaster
 
 __all__ = [
     "KittiLabelRecord",
-    "CalibRecord",
     "DetectionEntry",
-    "DetectionFile",
     "DETECTION_SCHEMA",
     "DETECTION_VERSION",
     "DEPTH_MAGIC",
+    "input_dir",
+    "input_files",
     "read_labels",
     "write_labels",
+    "write_label_dir",
     "read_calib",
     "read_depth",
     "write_depth",
     "read_detections",
     "write_detections",
+    "read_losses",
+    "write_histogram",
+    "write_report",
 ]
 
 DETECTION_SCHEMA = "mono3dkit-detections"
@@ -151,6 +158,22 @@ def _parse_float(token: str, path, lineno, what: str) -> float:
     return value
 
 
+def input_dir(d, what: str) -> Path:
+    """The input directory `d`; one that does not exist is a DataIOError naming it as `what`."""
+    d = Path(d)
+    if not d.is_dir():
+        raise DataIOError(f"{what} directory {d} does not exist")
+    return d
+
+
+def input_files(d: Path, pattern: str, what: str) -> List[Path]:
+    """The files in `d` that match `pattern`, sorted; none is a DataIOError naming `d`."""
+    files = sorted(d.glob(pattern))
+    if not files:
+        raise DataIOError(f"no {what} files in {d}")
+    return files
+
+
 # The name each numeric field of a label line has in a ParseError.
 _LABEL_FIELD_NAMES = ("truncated", "occluded", *(f"field {i}" for i in range(3, 15)), "score")
 
@@ -195,26 +218,24 @@ def write_labels(records, path) -> None:
     _write_bytes(Path(path), body.encode("ascii"), "label")
 
 
-@dataclass(frozen=True)
-class CalibRecord:
-    """Named 3x4 projection matrices from a KITTI calibration file."""
-
-    projections: Dict[str, np.ndarray]
-
-    def intrinsics(self, width: int, height: int, camera: str = "P2") -> CameraIntrinsics:
-        """Pinhole intrinsics of one camera at a known image size."""
-        if camera not in self.projections:
-            raise DataIOError(f"calibration has no {camera} entry")
-        p = self.projections[camera]
-        return CameraIntrinsics(
-            fx=float(p[0, 0]), fy=float(p[1, 1]), cx=float(p[0, 2]), cy=float(p[1, 2]), width=width, height=height
-        )
+def write_label_dir(out_dir: Path, labels) -> None:
+    """Write each `{path: records}` label file, first refusing any *.txt in
+    `out_dir` that this run would not write, so no earlier run's label mixes in."""
+    stale = sorted(set(out_dir.glob("*.txt")) - labels.keys())
+    if stale:
+        raise DataIOError(f"{stale[0]} is not a label this run writes; remove it or choose an empty --out")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for path, records in labels.items():
+        write_labels(records, path)
 
 
-def read_calib(path) -> CalibRecord:
+def read_calib(path, width: int, height: int) -> CameraIntrinsics:
+    """P2's pinhole intrinsics at image size `width` x `height`.  Every line
+    is parsed; a missing P2, or one that gives invalid intrinsics, is a
+    ParseError naming the file (and P2's line)."""
     path = Path(path)
     text = _read_text(path, "calib", "ascii")
-    projections = {}
+    projections = {}  # key -> (line, 12 row-major values); a repeated key's last line wins
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -223,10 +244,16 @@ def read_calib(path) -> CalibRecord:
         key, _, rest = line.partition(":")
         values = [_parse_float(tok, path, lineno, key.strip()) for tok in rest.split()]
         if len(values) == 12:
-            projections[key.strip()] = np.array(values, dtype=float).reshape(3, 4)
+            projections[key.strip()] = lineno, values
     if not projections:
         raise ParseError("no 3x4 projection entries found", path=path)
-    return CalibRecord(projections=projections)
+    if "P2" not in projections:
+        raise ParseError("calibration has no P2 entry", path=path)
+    lineno, p = projections["P2"]
+    try:
+        return CameraIntrinsics(fx=p[0], fy=p[5], cx=p[2], cy=p[6], width=width, height=height)
+    except InvalidIntrinsicsError as exc:
+        raise ParseError(str(exc), path=path, line=lineno) from None
 
 
 def read_depth(path) -> DepthRaster:
@@ -266,14 +293,6 @@ class DetectionEntry:
     yaw: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class DetectionFile:
-    """Parsed detection interchange file: schema version + per-image lists."""
-
-    version: int
-    images: Dict[str, List[DetectionEntry]]
-
-
 def _finite_number(value, path, lineno, what: str) -> float:
     """A JSON number as a float; bools, strings, lists, NaN and values beyond the float range are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
@@ -305,7 +324,7 @@ def _parse_detection_obj(obj, path, lineno) -> DetectionEntry:
     return DetectionEntry(detection=det, yaw=None if yaw is None else _finite_number(yaw, path, lineno, "yaw"))
 
 
-def read_detections(path) -> DetectionFile:
+def read_detections(path) -> Dict[str, List[DetectionEntry]]:
     path = Path(path)
     lines = _read_text(path, "detection", "utf-8").splitlines()
     if not lines:
@@ -344,7 +363,7 @@ def read_detections(path) -> DetectionFile:
         if not isinstance(dets, list):
             raise ParseError("'detections' must be a list", path=path, line=lineno)
         images[image] = [_parse_detection_obj(obj, path, lineno) for obj in dets]
-    return DetectionFile(version=version, images=images)
+    return images
 
 
 def write_detections(images: Dict[str, List[DetectionEntry]], path) -> None:
@@ -363,3 +382,35 @@ def write_detections(images: Dict[str, List[DetectionEntry]], path) -> None:
             dets.append(obj)
         lines.append(json.dumps({"image": image, "detections": dets}))
     _write_bytes(Path(path), "".join(line + "\n" for line in lines).encode("utf-8"), "detection")
+
+
+def read_losses(path):
+    """Names and values of 'loss' or 'name loss' lines; an unnamed loss is named by its index."""
+    path = Path(path)
+    text = _read_text(path, "losses", "utf-8")
+    names, values = [], []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if len(tokens) == 1:
+            names.append(str(len(values)))
+            raw = tokens[0]
+        elif len(tokens) == 2:
+            names.append(tokens[0])
+            raw = tokens[1]
+        else:
+            raise ParseError(f"expected 'loss' or 'name loss', got {line!r}", path=path, line=lineno)
+        values.append(_parse_float(raw, path, lineno, "loss"))
+    return names, values
+
+
+def write_histogram(centers, counts, path) -> None:
+    """Write 'bin-center count' lines, one per bin."""
+    body = "".join(f"{center:.6f} {count}\n" for center, count in zip(centers, counts))
+    _write_bytes(Path(path), body.encode(), "histogram")
+
+
+def write_report(payload, path) -> None:
+    """Write a JSON report: sorted keys, two-space indent, trailing newline."""
+    _write_bytes(Path(path), (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode(), "report")

@@ -627,6 +627,20 @@ class TestNormalizeCommand:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--image-width", "0"), ("--image-height", "-480")])
+    def test_nonpositive_image_size_is_invariant_violation(self, tmp_path, capsys, flag, value):
+        """The flag is at fault, not the calibration file, and is refused before any file is read."""
+        labels, calib = self.make_labels(tmp_path)
+        (calib / "000000.txt").write_text("not a calibration file\n")
+        sizes = {"--image-width": "640", "--image-height": "480", flag: value}
+        out = tmp_path / "o"
+        assert main(["normalize", "--labels", str(labels), "--calib", str(calib), "--out", str(out),
+                     *(token for item in sizes.items() for token in item)]) == 3
+        err = capsys.readouterr().err
+        assert f"{flag} must be positive, got {value}" in err
+        assert str(calib) not in err
+        assert not out.exists()
+
     def test_missing_calib_is_data_error(self, tmp_path):
         labels, calib = self.make_labels(tmp_path)
         (calib / "000000.txt").unlink()

@@ -21,7 +21,7 @@ from mono3dkit.dataio import (
     write_detections,
     write_labels,
 )
-from mono3dkit.errors import DataIOError, InvalidIntrinsicsError, ParseError
+from mono3dkit.errors import DataIOError, ParseError
 from mono3dkit.pseudolabel import Detection2D
 
 
@@ -172,36 +172,58 @@ class TestCalib:
     def test_parse_and_intrinsics(self, tmp_path):
         path = tmp_path / "calib.txt"
         path.write_text(CALIB_TEXT)
-        calib = read_calib(path)
-        intr = calib.intrinsics(1242, 375, camera="P2")
-        assert intr.fx == 721.5
-        assert intr.cx == 609.6
-        assert intr.width == 1242
+        intr = read_calib(path, 1242, 375)
+        assert (intr.fx, intr.fy, intr.cx, intr.cy) == (721.5, 721.5, 609.6, 172.9)
+        assert (intr.width, intr.height) == (1242, 375)
+
+    def test_last_p2_wins(self, tmp_path):
+        path = tmp_path / "calib.txt"
+        path.write_text(CALIB_TEXT + "P2: 700.0 0.0 600.0 0.0 0.0 710.0 170.0 0.0 0.0 0.0 1.0 0.0\n")
+        intr = read_calib(path, 1242, 375)
+        assert (intr.fx, intr.fy, intr.cx, intr.cy) == (700.0, 710.0, 600.0, 170.0)
 
     def test_nonpositive_focal_rejected(self, tmp_path):
         path = tmp_path / "calib.txt"
-        path.write_text("P2: -1.0 0 600 0 0 700 200 0 0 0 1 0\n")
-        with pytest.raises(InvalidIntrinsicsError):
-            read_calib(path).intrinsics(1242, 375)
+        path.write_text(CALIB_TEXT + "P2: -1.0 0 600 0 0 700 200 0 0 0 1 0\n")
+        with pytest.raises(ParseError, match="focal lengths must be positive") as err:
+            read_calib(path, 1242, 375)
+        assert (err.value.path, err.value.line) == (path, 4)
+
+    @pytest.mark.parametrize("cx, cy", [(1300.0, 200.0), (-0.5, 200.0), (600.0, 375.5), (600.0, -1.0)])
+    def test_principal_point_outside_image_rejected(self, tmp_path, cx, cy):
+        path = tmp_path / "calib.txt"
+        path.write_text(f"P2: 700 0 {cx} 0 0 700 {cy} 0 0 0 1 0\n" + CALIB_TEXT.replace("P2", "P1"))
+        with pytest.raises(ParseError, match=rf"principal point \({cx}, {cy}\) outside image 1242x375") as err:
+            read_calib(path, 1242, 375)
+        assert (err.value.path, err.value.line) == (path, 1)
 
     def test_missing_camera_entry(self, tmp_path):
         path = tmp_path / "calib.txt"
         path.write_text("P0: 700 0 320 0 0 700 240 0 0 0 1 0\n")
-        with pytest.raises(DataIOError):
-            read_calib(path).intrinsics(640, 480, camera="P2")
+        with pytest.raises(ParseError, match="calibration has no P2 entry") as err:
+            read_calib(path, 640, 480)
+        assert err.value.path == path
 
     def test_garbage_line_rejected_with_position(self, tmp_path):
         path = tmp_path / "calib.txt"
         path.write_text("P2: 721.5 0 609.6 0 0 721.5 172.9 0 0 0 one 0\n")
         with pytest.raises(ParseError) as err:
-            read_calib(path)
+            read_calib(path, 1242, 375)
         assert err.value.line == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e999"])
+    def test_non_finite_value_on_another_line_rejected(self, tmp_path, value):
+        path = tmp_path / "calib.txt"
+        path.write_text(CALIB_TEXT.replace("P0: 700.0", f"P0: {value}"))
+        with pytest.raises(ParseError) as err:
+            read_calib(path, 1242, 375)
+        assert (err.value.path, err.value.line) == (path, 1)
 
     def test_no_projection_entries(self, tmp_path):
         path = tmp_path / "calib.txt"
         path.write_text("R0_rect: 1 0 0 0 1 0 0 0 1\n")
-        with pytest.raises(ParseError):
-            read_calib(path)
+        with pytest.raises(ParseError, match="no 3x4 projection entries found"):
+            read_calib(path, 1242, 375)
 
 
 class TestDepth:
@@ -329,11 +351,7 @@ class TestDetections:
         path = tmp_path / "dets.jsonl"
         images = {"000000": [entry(), entry(cls="Car", yaw=None)], "000001": []}
         write_detections(images, path)
-        parsed = read_detections(path)
-        assert parsed.version == 1
-        assert parsed.images["000000"][0].detection.class_id == "Pedestrian"
-        assert parsed.images["000000"][1].yaw is None
-        assert parsed.images["000001"] == []
+        assert read_detections(path) == images
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "dets.jsonl"
@@ -423,3 +441,17 @@ def test_four_helpers_are_the_only_file_access():
         ("dataio.py", "_map_bytes", "mmap"),
         ("dataio.py", "_write_bytes", "write_bytes"),
     }
+
+
+def test_cli_calls_no_private_dataio_helper():
+    """cli.py reaches files only through dataio's public readers and writers."""
+    source = Path(dataio.__file__).with_name("cli.py").read_text()
+    private = sorted(
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "dataio"
+        and node.attr.startswith("_")
+    )
+    assert private == []

@@ -12,7 +12,6 @@ from dataclasses import fields
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mono3dkit import cli
 from mono3dkit.config import PipelineConfig, load_config, parse_config_text
 from mono3dkit.dataio import DEPTH_MAGIC, DETECTION_SCHEMA, read_calib, read_depth, read_detections, read_labels
 from mono3dkit.errors import ConfigError, DataIOError, ParseError
@@ -42,7 +41,14 @@ LABEL_BYTES = st.one_of(
     st.binary(max_size=200), encoded(token_lines(st.sampled_from(["Car", "DontCare", ""]), 13, 16))
 )
 CALIB_BYTES = st.one_of(
-    st.binary(max_size=200), encoded(token_lines(st.sampled_from(["P2:", "P0:", "R0_rect:", "P2"]), 8, 13))
+    st.binary(max_size=200),
+    encoded(token_lines(st.sampled_from(["P2:", "P0:", "R0_rect:", "P2"]), 8, 13)),
+    # A P2 valid at every image size, then near-miss lines: a bad value on another line must still be refused.
+    encoded(
+        token_lines(st.sampled_from(["P0:", "R0_rect:", "P2:"]), 8, 13).map(
+            lambda rest: "P2: 700 0 1 0 0 700 1 0 0 0 1 0\n" + rest
+        )
+    ),
 )
 
 
@@ -73,16 +79,17 @@ def test_labels_parse_finite_or_are_data_errors(tmp_path_factory, data):
 def test_calib_intrinsics_finite_or_are_data_errors(tmp_path_factory, data, width, height):
     path = write(tmp_path_factory, "calib.txt", data)
     try:
-        calib = read_calib(path)
-    except (ParseError, DataIOError):
-        return
-    assert all(finite(*p.ravel().tolist()) for p in calib.projections.values())
-    try:
-        intr = cli._read_intrinsics(path, width, height)
+        intr = read_calib(path, width, height)
     except ParseError as exc:
-        assert str(path) in str(exc)
+        assert exc.path == path
         return
+    except DataIOError:
+        return
+    # Every line was parsed, P2's or not, so every value in the file is finite.
+    for line in data.decode("ascii").splitlines():
+        assert finite(*(float(token) for token in line.partition(":")[2].split()))
     assert finite(intr.fx, intr.fy, intr.cx, intr.cy) and intr.fx > 0 and intr.fy > 0
+    assert 0 <= intr.cx <= width and 0 <= intr.cy <= height
 
 
 JSON_VALUES = st.one_of(
@@ -122,10 +129,10 @@ DETECTION_BYTES = st.one_of(
 @given(data=DETECTION_BYTES)
 def test_detections_parse_valid_or_are_data_errors(tmp_path_factory, data):
     try:
-        parsed = read_detections(write(tmp_path_factory, "dets.jsonl", data))
+        images = read_detections(write(tmp_path_factory, "dets.jsonl", data))
     except (ParseError, DataIOError):
         return
-    for entries in parsed.images.values():
+    for entries in images.values():
         for entry in entries:
             d = entry.detection
             assert finite(d.left, d.top, d.right, d.bottom, d.score)

@@ -399,7 +399,8 @@ def _add_eval(sub) -> None:
 
 
 def _seed(text: str) -> int:
-    """A --seed value: numpy's seed sequences take no negative entropy."""
+    """A --seed value, >= 0: `random` seeds an int by its absolute value, so
+    -1 would alias 1 wherever the seed is used as an int."""
     try:
         value = int(text)
     except ValueError:

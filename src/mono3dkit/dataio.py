@@ -43,7 +43,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .errors import DataIOError, InvalidIntrinsicsError, ParseError
-from .geometry import CameraIntrinsics
+from .geometry import CameraIntrinsics, _check_image_size
 from .pseudolabel import Detection2D, DepthRaster
 
 __all__ = [
@@ -232,7 +232,10 @@ def write_label_dir(out_dir: Path, labels) -> None:
 def read_calib(path, width: int, height: int) -> CameraIntrinsics:
     """P2's pinhole intrinsics at image size `width` x `height`.  Every line
     is parsed; a missing P2, or one that gives invalid intrinsics, is a
-    ParseError naming the file (and P2's line)."""
+    ParseError naming the file (and P2's line).  A non-positive `width` or
+    `height` is the caller's, not the file's: it raises
+    InvalidIntrinsicsError before the file is read."""
+    _check_image_size(width, height)
     path = Path(path)
     text = _read_text(path, "calib", "ascii")
     projections = {}  # key -> (line, 12 row-major values); a repeated key's last line wins

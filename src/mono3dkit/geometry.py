@@ -41,6 +41,11 @@ def _check_depth(z):
         raise NonPositiveDepthError("depth must be > 0")
 
 
+def _check_image_size(width, height) -> None:
+    if width <= 0 or height <= 0:
+        raise InvalidIntrinsicsError(f"image size must be positive, got {width}x{height}")
+
+
 def wrap_angle(angle: float) -> float:
     """`angle` in radians, wrapped into (-pi, pi]."""
     wrapped = math.remainder(angle, math.tau)
@@ -67,8 +72,7 @@ class CameraIntrinsics:
     def __post_init__(self):
         if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
             raise InvalidIntrinsicsError(f"focal lengths must be positive and finite, got fx={self.fx}, fy={self.fy}")
-        if self.width <= 0 or self.height <= 0:
-            raise InvalidIntrinsicsError(f"image size must be positive, got {self.width}x{self.height}")
+        _check_image_size(self.width, self.height)
         if not (0 <= self.cx <= self.width) or not (0 <= self.cy <= self.height):
             raise InvalidIntrinsicsError(
                 f"principal point ({self.cx}, {self.cy}) outside image {self.width}x{self.height}"

@@ -19,6 +19,7 @@ finite-difference probe can observe.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -136,19 +137,21 @@ class MaskPair:
     target: np.ndarray
 
     def __post_init__(self):
-        # Read-only copies: a kernel's deferred gradients read them later.
-        for name in ("pred", "target"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        if self.pred.shape != self.target.shape:
-            raise ShapeMismatchError(f"pred {self.pred.shape} vs target {self.target.shape}")
-        if self.pred.size == 0:
+        shape, other = np.shape(self.pred), np.shape(self.target)
+        if shape != other:
+            raise ShapeMismatchError(f"pred {shape} vs target {other}")
+        # One read-only stacked copy: a kernel's deferred gradients read it
+        # later, and one min and one max check both masks.
+        both = np.array((self.pred, self.target), dtype=float)
+        both.flags.writeable = False
+        if both.size == 0:
             raise EmptyInputError("masks must be non-empty")
-        for name, arr in (("pred", self.pred), ("target", self.target)):
-            # Written so that NaN, which fails every comparison, is rejected.
-            if not (arr.min() >= 0 and arr.max() <= 1):
-                raise ValueError(f"{name} values must lie in [0, 1]")
+        # Written so that NaN, which fails every comparison, is rejected.
+        if not (both.min() >= 0 and both.max() <= 1):
+            pred_ok = both[0].min() >= 0 and both[0].max() <= 1
+            raise ValueError(f"{'target' if pred_ok else 'pred'} values must lie in [0, 1]")
+        object.__setattr__(self, "pred", both[0])
+        object.__setattr__(self, "target", both[1])
 
 
 def _sigmoid(x):
@@ -468,13 +471,23 @@ def finite_diff_check(fn, inputs: dict, h: float = 1e-5) -> float:
     return float(worst)
 
 
+def _normal(rng, *shape):
+    """Float array of `shape` filled in C order with standard normal `rng.gauss` draws."""
+    return np.array([rng.gauss(0.0, 1.0) for _ in range(math.prod(shape))]).reshape(shape)
+
+
+def _uniform(rng, low, high, *shape):
+    """Float array of `shape` filled in C order with `rng.uniform(low, high)` draws."""
+    return np.array([rng.uniform(low, high) for _ in range(math.prod(shape))]).reshape(shape)
+
+
 def _suite_query_gate(rng, h):
     b, q, d = 2, 3, 4
-    queries = rng.normal(size=(b, q, d))
-    context = rng.normal(size=d)
-    weight = rng.normal(size=(d, 2 * d)) / math.sqrt(d)
-    bias = rng.normal(size=d) * 0.1
-    cot = rng.normal(size=(b, q, d))
+    queries = _normal(rng, b, q, d)
+    context = _normal(rng, d)
+    weight = _normal(rng, d, 2 * d) / math.sqrt(d)
+    bias = _normal(rng, d) * 0.1
+    cot = _normal(rng, b, q, d)
 
     def fn(queries, context, weight, bias):
         _, report = query_gate(queries, context, GateParams(weight, bias), grad_output=cot)
@@ -484,15 +497,15 @@ def _suite_query_gate(rng, h):
 
 
 def _suite_diversity(rng, h):
-    queries = rng.normal(size=(2, 4, 8))
+    queries = _normal(rng, 2, 4, 8)
     while np.sqrt((queries * queries).sum(axis=2)).min() < 0.5:
-        queries = rng.normal(size=(2, 4, 8))
+        queries = _normal(rng, 2, 4, 8)
     return finite_diff_check(lambda queries: diversity_loss(queries), {"queries": queries}, h=h)
 
 
 def _suite_bin_centers(rng, h):
-    delta = rng.uniform(-2.0, 2.0, size=8)
-    cot = rng.normal(size=8)
+    delta = _uniform(rng, -2.0, 2.0, 8)
+    cot = _normal(rng, 8)
 
     def fn(delta):
         centers, jac = bin_centers(BinSpec(delta=delta, depth_min=2.0, depth_max=46.8))
@@ -502,9 +515,9 @@ def _suite_bin_centers(rng, h):
 
 
 def _suite_depth_kl(rng, h):
-    mean = float(rng.uniform(5.0, 30.0))
-    std = float(rng.uniform(0.5, 3.0))
-    target = float(rng.uniform(5.0, 30.0))
+    mean = rng.uniform(5.0, 30.0)
+    std = rng.uniform(0.5, 3.0)
+    target = rng.uniform(5.0, 30.0)
 
     def fn(mean, std):
         return depth_kl(GaussianDepth(mean=mean, std=std, target=target, target_std=0.1))
@@ -513,20 +526,20 @@ def _suite_depth_kl(rng, h):
 
 
 def _suite_dice(rng, h):
-    target = rng.uniform(0.0, 1.0, size=(6, 6))
-    pred = rng.uniform(0.05, 0.95, size=(6, 6))
+    target = _uniform(rng, 0.0, 1.0, 6, 6)
+    pred = _uniform(rng, 0.05, 0.95, 6, 6)
     return finite_diff_check(lambda pred: dice_loss(MaskPair(pred, target)), {"pred": pred}, h=h)
 
 
 def _suite_bce(rng, h):
-    target = rng.uniform(0.0, 1.0, size=(6, 6))
-    pred = rng.uniform(0.05, 0.95, size=(6, 6))
+    target = _uniform(rng, 0.0, 1.0, 6, 6)
+    pred = _uniform(rng, 0.05, 0.95, 6, 6)
     return finite_diff_check(lambda pred: bce_loss(MaskPair(pred, target)), {"pred": pred}, h=h)
 
 
 def _suite_region(rng, h):
-    targets = [rng.uniform(0.0, 1.0, size=(5, 5)) for _ in range(2)]
-    preds = [rng.uniform(0.05, 0.95, size=(5, 5)) for _ in range(2)]
+    targets = [_uniform(rng, 0.0, 1.0, 5, 5) for _ in range(2)]
+    preds = [_uniform(rng, 0.05, 0.95, 5, 5) for _ in range(2)]
 
     def fn(pred_0, pred_1):
         return region_loss([MaskPair(pred_0, targets[0]), MaskPair(pred_1, targets[1])])
@@ -538,9 +551,9 @@ def _suite_consistency(rng, h):
     fx = 900.0
     clamp_bound, smooth_delta = 50.0, 1.0
     while True:
-        dim3d = float(rng.uniform(0.5, 3.0))
-        depth = float(rng.uniform(4.0, 40.0))
-        residual = float(rng.uniform(-40.0, 40.0))
+        dim3d = rng.uniform(0.5, 3.0)
+        depth = rng.uniform(4.0, 40.0)
+        residual = rng.uniform(-40.0, 40.0)
         # stay clear of the smooth-L1 and clamp kinks by >> 10h
         if abs(abs(residual) - smooth_delta) > 1e-3 and abs(residual) < clamp_bound - 1.0:
             break
@@ -553,8 +566,8 @@ def _suite_consistency(rng, h):
 
 
 def _suite_l2(rng, h):
-    p0 = rng.normal(size=3)
-    p1 = rng.normal(size=(2, 2))
+    p0 = _normal(rng, 3)
+    p1 = _normal(rng, 2, 2)
     return finite_diff_check(
         lambda param_0, param_1: l2_reg([param_0, param_1], weight=0.3),
         {"param_0": p0, "param_1": p1},
@@ -575,21 +588,34 @@ _SUITE = {
 }
 
 
+def _suite_rng(seed: int, name: str) -> random.Random:
+    """The stream that draws kernel `name`'s instances under `seed`.
+
+    It is keyed by name, so adding a kernel leaves the others' instances
+    alone.  `random` hashes a str seed with sha512, not `hash()`, so the
+    stream does not depend on PYTHONHASHSEED, and it is the same under every
+    numpy version.
+    """
+    return random.Random(f"{seed}:{name}")
+
+
 def run_gradient_suite(seed: int = 0, points: int = 100, h: float = 1e-5) -> dict:
     """Finite-difference sweep over every differentiable kernel.
 
     Each kernel is probed at `points` seeded random smooth instances (kink
-    neighborhoods excluded); returns {kernel: worst relative error}.
-    Raises ValueError when `seed` < 0 (a seed sequence takes no negative
-    entropy) or `points` < 1 (a sweep over no instances checks nothing).
+    neighborhoods excluded), drawn from its :func:`_suite_rng` stream;
+    returns {kernel: worst relative error}.  Raises ValueError when
+    `points` < 1 (a sweep over no instances checks nothing) or `seed` < 0
+    (`random` seeds an int by its absolute value, so -1 would alias 1
+    wherever the seed is used as an int).
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if points < 1:
         raise ValueError(f"points must be >= 1, got {points}")
     results = {}
-    for i, (name, runner) in enumerate(_SUITE.items()):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+    for name, runner in _SUITE.items():
+        rng = _suite_rng(seed, name)
         worst = 0.0
         for _ in range(points):
             worst = max(worst, runner(rng, h))

@@ -779,6 +779,35 @@ class TestEvalReportBytes:
         assert digests == self.DIGESTS
 
 
+def run_gradcheck_subprocess(argv, hash_seed="0"):
+    """Run `gradcheck <argv>` through `cli.main` in a fresh interpreter that
+    then prints whether `numpy.random` was loaded."""
+    env = dict(os.environ, PYTHONPATH=str(Path(mono3dkit.__file__).parents[1]), PYTHONHASHSEED=hash_seed)
+    code = (
+        "import sys; from mono3dkit.cli import main; code = main(sys.argv[1:]); "
+        "print('numpy.random' in sys.modules); sys.exit(code)"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code, "gradcheck", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+class TestGradcheckStream:
+    def test_fresh_gradcheck_never_loads_numpy_random(self):
+        proc = run_gradcheck_subprocess(["--points", "1"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
+    def test_report_bytes_do_not_depend_on_hash_seed(self, tmp_path):
+        reports = []
+        for hash_seed in ("1", "2"):
+            report = tmp_path / f"grad-{hash_seed}.json"
+            proc = run_gradcheck_subprocess(["--seed", "7", "--points", "2", "--report", str(report)], hash_seed)
+            assert proc.returncode == 0, proc.stderr
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
+
+
 class TestClosedStdout:
     @pytest.mark.parametrize("unbuffered", ["1", None])
     def test_closed_pipe_exits_141_after_writing_every_label(self, tmp_path, unbuffered):

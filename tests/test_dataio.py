@@ -21,7 +21,7 @@ from mono3dkit.dataio import (
     write_detections,
     write_labels,
 )
-from mono3dkit.errors import DataIOError, ParseError
+from mono3dkit.errors import DataIOError, InvalidIntrinsicsError, ParseError
 from mono3dkit.pseudolabel import Detection2D
 
 
@@ -218,6 +218,19 @@ class TestCalib:
         with pytest.raises(ParseError) as err:
             read_calib(path, 1242, 375)
         assert (err.value.path, err.value.line) == (path, 1)
+
+    @pytest.mark.parametrize("width, height", [(0, 375), (1242, -1)])
+    def test_nonpositive_image_size_is_the_callers_error(self, tmp_path, width, height):
+        path = tmp_path / "calib.txt"
+        path.write_text(CALIB_TEXT)
+        with pytest.raises(InvalidIntrinsicsError, match=f"image size must be positive, got {width}x{height}") as err:
+            read_calib(path, width, height)
+        assert not isinstance(err.value, ParseError)
+        assert str(path) not in str(err.value)
+
+    def test_image_size_is_checked_before_the_file_is_read(self, tmp_path):
+        with pytest.raises(InvalidIntrinsicsError):
+            read_calib(tmp_path / "missing.txt", 1242, 0)
 
     def test_no_projection_entries(self, tmp_path):
         path = tmp_path / "calib.txt"

@@ -438,7 +438,7 @@ class TestFiniteDiffCheck:
             return got
 
         monkeypatch.setattr(kernels, "finite_diff_check", both)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, list(kernels._SUITE).index(kernel)]))
+        rng = kernels._suite_rng(seed, kernel)
         for _ in range(2):
             kernels._SUITE[kernel](rng, 1e-5)
         assert len(checked) == 2

@@ -17,8 +17,6 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import dataio, eval3d, geometry, kernels, pseudolabel
 from .config import _NUMBER_TYPES, PipelineConfig, load_config
 from .errors import ConfigError, DataIOError, EmptyInputError, InvalidIntrinsicsError, ParseError, PipelineError
@@ -140,13 +138,24 @@ def cmd_pseudolabel(args) -> int:
 # ----------------------------------------------------------------------- eval
 
 
-def _records_to_boxes(records, class_name, path):
-    """Boxes and 2D bboxes of the `class_name` records read from `path`; a
-    record that :class:`Box3D` rejects is a :class:`ParseError` naming `path`."""
+# An eval row's columns, in stdout and report order: EvalResult field,
+# stdout heading and stdout width.
+_ROW_COLUMNS = (
+    ("ap", "AP%", 8),
+    ("num_gt", "gt", 6),
+    ("num_predictions", "pred", 6),
+    ("matched", "tp", 6),
+    ("false_positives", "fp", 6),
+    ("ignored_predictions", "ignored", 9),
+)
+
+
+def _records_to_boxes(path, class_name):
+    """The `class_name` records of label file `path`, their boxes and their 2D
+    bboxes; a record that :class:`Box3D` rejects is a :class:`ParseError` naming `path`."""
+    records = [rec for rec in dataio.read_labels(path) if rec.type == class_name]
     boxes, bboxes = [], []
     for rec in records:
-        if rec.type != class_name:
-            continue
         try:
             box = pseudolabel.Box3D(
                 class_id=rec.type,
@@ -163,7 +172,7 @@ def _records_to_boxes(records, class_name, path):
             raise ParseError(f"{rec.type} label: {exc}", path=path, line=rec.line) from exc
         boxes.append(box)
         bboxes.append((rec.left, rec.top, rec.right, rec.bottom))
-    return boxes, bboxes
+    return records, boxes, bboxes
 
 
 def cmd_eval(args) -> int:
@@ -172,44 +181,19 @@ def cmd_eval(args) -> int:
     iou = args.iou if args.iou is not None else (0.5 if args.metric == "bbox2d" else 0.7)
     cfg = eval3d.MatchConfig(iou_threshold=iou, metric=args.metric)
 
-    gt_records_per_image, frames_all = [], []
+    frames, gates = [], []
     for gt_path in dataio.input_files(gt_dir, "*.txt", "label"):
-        pred_path = pred_dir / gt_path.name
-        gt_records = [r for r in dataio.read_labels(gt_path) if r.type == args.class_name]
-        pred_records = dataio.read_labels(pred_path)
-        gts, gt_bboxes = _records_to_boxes(gt_records, args.class_name, gt_path)
-        preds, pred_bboxes = _records_to_boxes(pred_records, args.class_name, pred_path)
-        gt_records_per_image.append(gt_records)
-        frames_all.append(
-            eval3d.EvalFrame(preds=preds, gts=gts, pred_bboxes=pred_bboxes, gt_bboxes=gt_bboxes)
-        )
-
-    # The difficulty rows differ only in which ground truths they ignore,
-    # so all four share one IoU matrix per frame.
-    ious = [eval3d.iou_matrix(frame, cfg.metric) for frame in frames_all]
-    rows = {}
-    for level, name in enumerate(eval3d.DIFFICULTY_NAMES):
-        frames = []
-        for frame, gt_records in zip(frames_all, gt_records_per_image):
-            ignored = np.array(
-                [
-                    not eval3d.matches_difficulty(r.bottom - r.top, r.occluded, r.truncated, level)
-                    for r in gt_records
-                ],
-                dtype=bool,
-            )
-            frames.append(replace(frame, gt_ignored=ignored))
-        rows[name] = eval3d.ap_r40_frames(frames, cfg, ious)
-    rows["all"] = eval3d.ap_r40_frames(frames_all, cfg, ious)
+        gt_records, gts, gt_bboxes = _records_to_boxes(gt_path, args.class_name)
+        _, preds, pred_bboxes = _records_to_boxes(pred_dir / gt_path.name, args.class_name)
+        frames.append(eval3d.EvalFrame(preds=preds, gts=gts, pred_bboxes=pred_bboxes, gt_bboxes=gt_bboxes))
+        gates.append([(r.bottom - r.top, r.occluded, r.truncated) for r in gt_records])
+    rows = eval3d.difficulty_rows(frames, gates, cfg)
 
     print(f"class={args.class_name} metric={args.metric} iou={iou:.2f} recall_points={cfg.recall_points}")
-    print(f"{'difficulty':<12}{'AP%':>8}{'gt':>6}{'pred':>6}{'tp':>6}{'fp':>6}{'ignored':>9}")
-    for name in (*eval3d.DIFFICULTY_NAMES, "all"):
-        r = rows[name]
-        print(
-            f"{name:<12}{r.ap:>8.2f}{r.num_gt:>6}{r.num_predictions:>6}"
-            f"{r.matched:>6}{r.false_positives:>6}{r.ignored_predictions:>9}"
-        )
+    print(f"{'difficulty':<12}" + "".join(f"{heading:>{width}}" for _, heading, width in _ROW_COLUMNS))
+    for name, row in rows.items():
+        cells = ((getattr(row, field), width) for field, _, width in _ROW_COLUMNS)
+        print(f"{name:<12}" + "".join(f"{v:>{w}.2f}" if isinstance(v, float) else f"{v:>{w}}" for v, w in cells))
     _echo(
         [
             f"class_name = {args.class_name}",
@@ -225,17 +209,7 @@ def cmd_eval(args) -> int:
             "metric": args.metric,
             "iou_threshold": iou,
             "recall_points": cfg.recall_points,
-            "rows": {
-                name: {
-                    "ap": rows[name].ap,
-                    "num_gt": rows[name].num_gt,
-                    "num_predictions": rows[name].num_predictions,
-                    "matched": rows[name].matched,
-                    "false_positives": rows[name].false_positives,
-                    "ignored_predictions": rows[name].ignored_predictions,
-                }
-                for name in rows
-            },
+            "rows": {name: {field: getattr(row, field) for field, _, _ in _ROW_COLUMNS} for name, row in rows.items()},
         }
         dataio.write_report(payload, args.report)
     return 0
@@ -274,7 +248,7 @@ def cmd_stats(args) -> int:
     pred_dir = dataio.input_dir(args.pred, "prediction")
     boxes = []
     for path in dataio.input_files(pred_dir, "*.txt", "label"):
-        boxes += _records_to_boxes(dataio.read_labels(path), args.class_name, path)[0]
+        boxes += _records_to_boxes(path, args.class_name)[1]
     if not boxes:
         raise EmptyInputError(f"no {args.class_name!r} boxes in {pred_dir}")
     stats = eval3d.height_histogram(boxes, bin_width=args.bin_width)

@@ -127,13 +127,13 @@ def _parse_entry(cfg: PipelineConfig, key: str, raw: str) -> dict:
     return {key: kind(value)}
 
 
-def parse_config_text(text: str, base: PipelineConfig | None = None) -> PipelineConfig:
-    """Parse config text on top of `base` (defaults when omitted).
+def parse_config_text(text: str) -> PipelineConfig:
+    """Parse config text on top of the defaults.
 
     Each line is applied as it is read, so a value that :class:`PipelineConfig`
     rejects is reported with its line and key.
     """
-    cfg = base if base is not None else PipelineConfig()
+    cfg = PipelineConfig()
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:

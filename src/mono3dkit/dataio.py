@@ -16,8 +16,10 @@ Formats:
 Readers reject malformed input instead of repairing it, and every parse
 error names the file and line.  Every number in a text file must be
 finite; which values are valid beyond that, the domain types
-(:class:`Detection2D`, :class:`CameraIntrinsics`) decide.  All
-serialization is locale-independent.
+(:class:`Detection2D`, :class:`CameraIntrinsics`) decide.  The label
+writer refuses what the label reader refuses: :func:`write_label_dir`
+raises a ValueError naming the file and field for a non-finite number,
+before it writes anything.  All serialization is locale-independent.
 
 Every input is opened by :func:`_open_input` and must be a regular file: a
 FIFO, directory, device or pipe (``<(...)``) is a DataIOError, never waited on.
@@ -218,9 +220,28 @@ def write_labels(records, path) -> None:
     _write_bytes(Path(path), body.encode("ascii"), "label")
 
 
+def _check_finite(path: Path, records) -> None:
+    """Refuse a record that read_labels would refuse for a non-finite number:
+    a ValueError naming the label file `path` and the field."""
+    for rec in records:
+        # 0 * v is 0 for a finite v and NaN for an infinite or NaN one, so one
+        # sum per record checks all its floats, with no call per field.
+        if (
+            0.0 * rec.truncated + 0.0 * rec.alpha + 0.0 * rec.left + 0.0 * rec.top + 0.0 * rec.right
+            + 0.0 * rec.bottom + 0.0 * rec.h + 0.0 * rec.w + 0.0 * rec.l + 0.0 * rec.x + 0.0 * rec.y
+            + 0.0 * rec.z + 0.0 * rec.rotation_y + (0.0 if rec.score is None else 0.0 * rec.score)
+        ) != 0.0:
+            name, value = next((f, v) for f, v in vars(rec).items() if isinstance(v, float) and not math.isfinite(v))
+            raise ValueError(f"cannot write label file {path}: {name} is {value}, not a finite number")
+
+
 def write_label_dir(out_dir: Path, labels) -> None:
-    """Write each `{path: records}` label file, first refusing any *.txt in
-    `out_dir` that this run would not write, so no earlier run's label mixes in."""
+    """Write each `{path: records}` label file.  Nothing is written, and no
+    `out_dir` is created, if a record holds a non-finite number (which
+    read_labels would refuse; a ValueError) or if `out_dir` holds a *.txt
+    that this run would not write, so no earlier run's label mixes in."""
+    for path, records in labels.items():
+        _check_finite(path, records)
     stale = sorted(set(out_dir.glob("*.txt")) - labels.keys())
     if stale:
         raise DataIOError(f"{stale[0]} is not a label this run writes; remove it or choose an empty --out")

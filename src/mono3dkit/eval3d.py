@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import ClassVar, Optional, Sequence
 
@@ -31,6 +31,7 @@ __all__ = [
     "iou_matrix",
     "ap_r40",
     "ap_r40_frames",
+    "difficulty_rows",
     "height_histogram",
     "matches_difficulty",
     "DIFFICULTY_NAMES",
@@ -328,8 +329,8 @@ def ap_r40_frames(
     exactly the sequential result.
 
     `ious` holds each frame's :func:`iou_matrix` for cfg.metric.  Passing
-    it lets evaluations that differ only in gt_ignored, such as the
-    difficulty rows, share one IoU computation per frame.
+    it lets evaluations that differ only in gt_ignored, such as
+    :func:`difficulty_rows`, share one IoU computation per frame.
     """
     if ious is None:
         ious = [iou_matrix(frame, cfg.metric) for frame in frames]
@@ -348,57 +349,58 @@ def ap_r40_frames(
     n_ignored = len(all_flags) - len(ranked)
 
     grid = [(i + 1) / cfg.recall_points for i in range(cfg.recall_points)]
+    matched = ranked.count(1)
+    curve = []
     notes = ()
     if num_gt == 0:
         # Conventions: nothing to find and nothing claimed is a perfect
         # score; claiming detections against empty ground truth is zero.
-        if num_preds == 0:
-            ap, interp = 100.0, [1.0] * cfg.recall_points
-            notes = ("empty-ground-truth-and-predictions",)
-        else:
-            ap, interp = 0.0, [0.0] * cfg.recall_points
-            notes = ("empty-ground-truth",)
-        return EvalResult(
-            ap=ap,
-            recall_grid=grid,
-            interpolated_precision=interp,
-            curve=[],
-            matched=0,
-            false_positives=sum(1 for f in ranked if f == 0),
-            ignored_predictions=n_ignored,
-            num_gt=0,
-            num_predictions=num_preds,
-            notes=notes,
-        )
-
-    tp = 0
-    fp = 0
-    curve = []
-    for outcome in ranked:
-        if outcome == 1:
-            tp += 1
-        else:
-            fp += 1
-        curve.append((tp / num_gt, tp / (tp + fp)))
-
-    # Recall never decreases along the curve, so the points with recall >= r
-    # are a suffix of it: interpolate by the best precision of each suffix.
-    recalls = [recall for recall, _ in curve]
-    suffix_best = list(accumulate(reversed([p for _, p in curve]), max))[::-1] + [0.0]
-    interp = [suffix_best[bisect_left(recalls, r)] for r in grid]
-    ap = 100.0 * sum(interp) / cfg.recall_points
+        perfect = num_preds == 0
+        interp = [1.0 if perfect else 0.0] * cfg.recall_points
+        notes = ("empty-ground-truth-and-predictions" if perfect else "empty-ground-truth",)
+    else:
+        hits = 0
+        for rank, outcome in enumerate(ranked, start=1):
+            hits += outcome
+            curve.append((hits / num_gt, hits / rank))
+        # Recall never decreases along the curve, so the points with recall >= r
+        # are a suffix of it: interpolate by the best precision of each suffix.
+        recalls = [recall for recall, _ in curve]
+        suffix_best = list(accumulate(reversed([p for _, p in curve]), max))[::-1] + [0.0]
+        interp = [suffix_best[bisect_left(recalls, r)] for r in grid]
     return EvalResult(
-        ap=ap,
+        ap=100.0 * sum(interp) / cfg.recall_points,
         recall_grid=grid,
         interpolated_precision=interp,
         curve=curve,
-        matched=tp,
-        false_positives=fp,
+        matched=matched,
+        false_positives=len(ranked) - matched,
         ignored_predictions=n_ignored,
         num_gt=num_gt,
         num_predictions=num_preds,
         notes=notes,
     )
+
+
+def difficulty_rows(frames: Sequence[EvalFrame], gates: Sequence[Sequence[tuple]], cfg: MatchConfig) -> dict:
+    """The easy, moderate, hard and all rows of a KITTI evaluation, in that order.
+
+    `gates[k][j]` is the (bbox height, occluded, truncated) of
+    ``frames[k].gts[j]``.  A difficulty row ignores the ground truths that
+    :func:`matches_difficulty` does not admit at its level; the all row
+    scores `frames` as given.  The rows differ only in which ground truths
+    they ignore, so all four share one :func:`iou_matrix` per frame.
+    """
+    ious = [iou_matrix(frame, cfg.metric) for frame in frames]
+    rows = {}
+    for level, name in enumerate(DIFFICULTY_NAMES):
+        gated = [
+            replace(frame, gt_ignored=np.array([not matches_difficulty(*g, level) for g in frame_gates], dtype=bool))
+            for frame, frame_gates in zip(frames, gates, strict=True)
+        ]
+        rows[name] = ap_r40_frames(gated, cfg, ious)
+    rows["all"] = ap_r40_frames(frames, cfg, ious)
+    return rows
 
 
 def ap_r40(

@@ -481,7 +481,7 @@ def _uniform(rng, low, high, *shape):
     return np.array([rng.uniform(low, high) for _ in range(math.prod(shape))]).reshape(shape)
 
 
-def _suite_query_gate(rng, h):
+def _suite_query_gate(rng):
     b, q, d = 2, 3, 4
     queries = _normal(rng, b, q, d)
     context = _normal(rng, d)
@@ -493,17 +493,17 @@ def _suite_query_gate(rng, h):
         _, report = query_gate(queries, context, GateParams(weight, bias), grad_output=cot)
         return report
 
-    return finite_diff_check(fn, {"queries": queries, "context": context, "weight": weight, "bias": bias}, h=h)
+    return finite_diff_check(fn, {"queries": queries, "context": context, "weight": weight, "bias": bias})
 
 
-def _suite_diversity(rng, h):
+def _suite_diversity(rng):
     queries = _normal(rng, 2, 4, 8)
     while np.sqrt((queries * queries).sum(axis=2)).min() < 0.5:
         queries = _normal(rng, 2, 4, 8)
-    return finite_diff_check(lambda queries: diversity_loss(queries), {"queries": queries}, h=h)
+    return finite_diff_check(lambda queries: diversity_loss(queries), {"queries": queries})
 
 
-def _suite_bin_centers(rng, h):
+def _suite_bin_centers(rng):
     delta = _uniform(rng, -2.0, 2.0, 8)
     cot = _normal(rng, 8)
 
@@ -511,10 +511,10 @@ def _suite_bin_centers(rng, h):
         centers, jac = bin_centers(BinSpec(delta=delta, depth_min=2.0, depth_max=46.8))
         return LossReport(value=float(cot @ centers), grads={"delta": jac.T @ cot})
 
-    return finite_diff_check(fn, {"delta": delta}, h=h)
+    return finite_diff_check(fn, {"delta": delta})
 
 
-def _suite_depth_kl(rng, h):
+def _suite_depth_kl(rng):
     mean = rng.uniform(5.0, 30.0)
     std = rng.uniform(0.5, 3.0)
     target = rng.uniform(5.0, 30.0)
@@ -522,39 +522,39 @@ def _suite_depth_kl(rng, h):
     def fn(mean, std):
         return depth_kl(GaussianDepth(mean=mean, std=std, target=target, target_std=0.1))
 
-    return finite_diff_check(fn, {"mean": mean, "std": std}, h=h)
+    return finite_diff_check(fn, {"mean": mean, "std": std})
 
 
-def _suite_dice(rng, h):
+def _suite_dice(rng):
     target = _uniform(rng, 0.0, 1.0, 6, 6)
     pred = _uniform(rng, 0.05, 0.95, 6, 6)
-    return finite_diff_check(lambda pred: dice_loss(MaskPair(pred, target)), {"pred": pred}, h=h)
+    return finite_diff_check(lambda pred: dice_loss(MaskPair(pred, target)), {"pred": pred})
 
 
-def _suite_bce(rng, h):
+def _suite_bce(rng):
     target = _uniform(rng, 0.0, 1.0, 6, 6)
     pred = _uniform(rng, 0.05, 0.95, 6, 6)
-    return finite_diff_check(lambda pred: bce_loss(MaskPair(pred, target)), {"pred": pred}, h=h)
+    return finite_diff_check(lambda pred: bce_loss(MaskPair(pred, target)), {"pred": pred})
 
 
-def _suite_region(rng, h):
+def _suite_region(rng):
     targets = [_uniform(rng, 0.0, 1.0, 5, 5) for _ in range(2)]
     preds = [_uniform(rng, 0.05, 0.95, 5, 5) for _ in range(2)]
 
     def fn(pred_0, pred_1):
         return region_loss([MaskPair(pred_0, targets[0]), MaskPair(pred_1, targets[1])])
 
-    return finite_diff_check(fn, {"pred_0": preds[0], "pred_1": preds[1]}, h=h)
+    return finite_diff_check(fn, {"pred_0": preds[0], "pred_1": preds[1]})
 
 
-def _suite_consistency(rng, h):
+def _suite_consistency(rng):
     fx = 900.0
     clamp_bound, smooth_delta = 50.0, 1.0
     while True:
         dim3d = rng.uniform(0.5, 3.0)
         depth = rng.uniform(4.0, 40.0)
         residual = rng.uniform(-40.0, 40.0)
-        # stay clear of the smooth-L1 and clamp kinks by >> 10h
+        # stay clear of the smooth-L1 and clamp kinks by >> 10 finite-difference steps
         if abs(abs(residual) - smooth_delta) > 1e-3 and abs(residual) < clamp_bound - 1.0:
             break
     size2d = fx * dim3d / depth - residual
@@ -562,16 +562,15 @@ def _suite_consistency(rng, h):
     def fn(dim3d, depth):
         return consistency_loss(dim3d, depth, fx, size2d, clamp_bound=clamp_bound, smooth_delta=smooth_delta)
 
-    return finite_diff_check(fn, {"dim3d": dim3d, "depth": depth}, h=h)
+    return finite_diff_check(fn, {"dim3d": dim3d, "depth": depth})
 
 
-def _suite_l2(rng, h):
+def _suite_l2(rng):
     p0 = _normal(rng, 3)
     p1 = _normal(rng, 2, 2)
     return finite_diff_check(
         lambda param_0, param_1: l2_reg([param_0, param_1], weight=0.3),
         {"param_0": p0, "param_1": p1},
-        h=h,
     )
 
 
@@ -599,7 +598,7 @@ def _suite_rng(seed: int, name: str) -> random.Random:
     return random.Random(f"{seed}:{name}")
 
 
-def run_gradient_suite(seed: int = 0, points: int = 100, h: float = 1e-5) -> dict:
+def run_gradient_suite(seed: int = 0, points: int = 100) -> dict:
     """Finite-difference sweep over every differentiable kernel.
 
     Each kernel is probed at `points` seeded random smooth instances (kink
@@ -618,6 +617,6 @@ def run_gradient_suite(seed: int = 0, points: int = 100, h: float = 1e-5) -> dic
         rng = _suite_rng(seed, name)
         worst = 0.0
         for _ in range(points):
-            worst = max(worst, runner(rng, h))
+            worst = max(worst, runner(rng))
         results[name] = worst
     return results

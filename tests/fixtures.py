@@ -147,3 +147,59 @@ def build_eval_scene(root):
         (gt_dir / f"{i:06d}.txt").write_text("\n".join(gts) + "\n")
         (pred_dir / f"{i:06d}.txt").write_text("\n".join(preds) + "\n")
     return gt_dir, pred_dir
+
+
+KITTI_P2 = (721.5377, 721.5377, 609.5593, 172.854)  # fx, fy, cx, cy
+KITTI_W, KITTI_H = 1242, 375
+CAR_W, CAR_L, CAR_H = 1.63, 3.88, 1.53  # the default Car prior
+ROAD_Y = 1.65  # camera height above the road: every Car stands at y = 1.65
+
+
+def _car_bbox(x, z, yaw):
+    """The projected corners of the Car standing at (x, ROAD_Y, z), clipped to
+    the image.  At yaw 0 its length lies along camera X, as in eval3d."""
+    fx, fy, cx, cy = KITTI_P2
+    c, s = np.cos(yaw), np.sin(yaw)
+    lx = np.array([1, 1, -1, -1, 1, 1, -1, -1]) * (CAR_L / 2.0)
+    lz = np.array([1, -1, -1, 1, 1, -1, -1, 1]) * (CAR_W / 2.0)
+    ys = ROAD_Y - np.array([0, 0, 0, 0, 1, 1, 1, 1]) * CAR_H
+    xs, zs = x + lx * c + lz * s, z - lx * s + lz * c
+    u, v = fx * xs / zs + cx, fy * ys / zs + cy
+    left, top = max(float(u.min()), 0.0), max(float(v.min()), 0.0)
+    return left, top, min(float(u.max()), KITTI_W - 1.0), min(float(v.max()), KITTI_H - 1.0)
+
+
+def build_truth_scene(root, n_images=3):
+    """Create detections/, depth/, calib/ and truth/ dirs under `root` by
+    arithmetic alone, with no RNG.  Returns the image ids.
+
+    Each image holds eight Cars of the prior size standing on the road, 10 to
+    50 m away and spread over eight lateral positions, so that nearer Cars
+    hide parts of farther ones.  A detection is a Car's projected corners
+    clipped to the image, with yaw = rotation_y and a score of its own.  The
+    raster is 80 m, with each 2D box painted flat at its center depth, far to
+    near.  truth/ holds the Cars as KITTI labels in the source camera, with
+    truncated and occluded 0.
+    """
+    for d in ("detections", "depth", "calib", "truth"):
+        (root / d).mkdir(parents=True, exist_ok=True)
+    images = {}
+    for i in range(n_images):
+        image = f"{i:06d}"
+        cars = []  # (x, z, yaw, bbox, score)
+        for k in range(8):
+            x, z, yaw = -9.0 + 2.6 * ((3 * k + i) % 8), 10.0 + 5.5 * k + 1.3 * i, -1.5 + 0.41 * k + 0.23 * i
+            cars.append((x, z, yaw, _car_bbox(x, z, yaw), round(0.95 - 0.1 * k - 0.02 * i, 2)))
+        depth = np.full((KITTI_H, KITTI_W), 80.0)
+        for _, z, _, (left, top, right, bottom), _ in sorted(cars, key=lambda car: -car[1]):
+            depth[int(np.floor(top)) : int(np.ceil(bottom)) + 1, int(np.floor(left)) : int(np.ceil(right)) + 1] = z
+        write_depth(depth, root / "depth" / f"{image}.dpr")
+        write_calib(root / "calib" / f"{image}.txt", *KITTI_P2)
+        images[image] = [DetectionEntry(Detection2D("Car", *bbox, score), yaw) for _, _, yaw, bbox, score in cars]
+        truth = [
+            _label_line("Car", 0.0, 0, *bbox, CAR_H, CAR_W, CAR_L, x, ROAD_Y, z, yaw)
+            for x, z, yaw, bbox, _ in cars
+        ]
+        (root / "truth" / f"{image}.txt").write_text("\n".join(truth) + "\n")
+    write_detections(images, root / "detections" / "scene.jsonl")
+    return sorted(images)

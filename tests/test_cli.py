@@ -699,6 +699,30 @@ class TestOutputsAreWrittenWhole:
         assert f"{calib / '000001.txt'}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "extra, calib_fx, refused",
+        [(("--virtual-focal", "1e308"), None, "000000.txt"), ((), 1e-310, "000001.txt")],
+        ids=["virtual-focal", "calib-fx"],
+    )
+    def test_pseudolabel_refuses_a_label_the_reader_refuses(self, tmp_path, capsys, extra, calib_fx, refused):
+        """A depth scale that overflows gives an infinite location: exit 3, and no --out."""
+        fixtures.build_scene(tmp_path, n_images=3, seed=7)
+        if calib_fx is not None:
+            fixtures.write_calib(tmp_path / "calib" / "000001.txt", calib_fx, 525.7, 159.5, 124.4)
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert run_pseudolabel(tmp_path, out, extra) == 3
+        assert f"cannot write label file {out / refused}: x is -inf, not a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_normalize_refuses_a_label_the_reader_refuses(self, tmp_path, capsys):
+        labels, calib = TestNormalizeCommand().make_labels(tmp_path)
+        out = tmp_path / "o"
+        assert main(["normalize", "--labels", str(labels), "--calib", str(calib), "--out", str(out),
+                     "--image-width", "640", "--image-height", "480", "--focal", "1e308"]) == 3
+        assert f"cannot write label file {out / '000000.txt'}: x is -inf" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_label_path_that_is_a_directory(self, tmp_path, capsys):
         fixtures.build_scene(tmp_path, n_images=3, seed=7)
         out = tmp_path / "out"
@@ -790,6 +814,45 @@ def run_gradcheck_subprocess(argv, hash_seed="0"):
     return subprocess.run(
         [sys.executable, "-c", code, "gradcheck", *argv], capture_output=True, text=True, env=env, timeout=120
     )
+
+
+class TestClosedLoopQuality:
+    """The toolkit scores its own pseudo-labels against the truth they came from:
+    pseudolabel, then normalize --invert, then eval, on an arithmetic Car scene.
+
+    Each floor is the `all` row's AP@0.5 measured when the test was written,
+    less 1 AP point.  The cheapest lost match in this scene costs 1.76 points,
+    so the margin absorbs rounding but no lost match.  A change that improves
+    quality may raise a floor; none may lower one.  The 3D gap between the two
+    cameras is ROADMAP item 1 (the default camera's vertical resize).
+    """
+
+    # camera: ((virtual focal, width, height), {metric: floor})
+    CAMERAS = {
+        "default": ((PipelineConfig.virtual_focal, PipelineConfig.virtual_width, PipelineConfig.virtual_height),
+                    {"bev": 25.4, "3d": 15.0}),  # measured 26.42 and 16.05
+        "identity-size": ((fixtures.KITTI_P2[0], fixtures.KITTI_W, fixtures.KITTI_H),
+                          {"bev": 25.4, "3d": 25.4}),  # measured 26.42 and 26.42
+    }
+
+    @pytest.mark.parametrize("camera", sorted(CAMERAS))
+    def test_ap_floors(self, tmp_path, camera):
+        (focal, width, height), floors = self.CAMERAS[camera]
+        fixtures.build_truth_scene(tmp_path)
+        virtual = ["--virtual-focal", str(focal), "--virtual-width", str(width), "--virtual-height", str(height)]
+        assert run_pseudolabel(tmp_path, tmp_path / "virtual", virtual) == 0
+        assert main(["normalize", "--labels", str(tmp_path / "virtual"), "--calib", str(tmp_path / "calib"),
+                     "--out", str(tmp_path / "source"), "--invert", "--image-width", str(fixtures.KITTI_W),
+                     "--image-height", str(fixtures.KITTI_H), "--focal", str(focal), "--width", str(width),
+                     "--height", str(height)]) == 0
+        ap = {}
+        for metric in floors:
+            report = tmp_path / f"{metric}.json"
+            assert main(["eval", "--pred", str(tmp_path / "source"), "--gt", str(tmp_path / "truth"),
+                         "--class-name", "Car", "--iou", "0.5", "--metric", metric, "--report", str(report)]) == 0
+            ap[metric] = json.loads(report.read_text())["rows"]["all"]["ap"]
+        for metric, floor in floors.items():
+            assert ap[metric] >= floor, ap
 
 
 class TestGradcheckStream:

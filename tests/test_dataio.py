@@ -1,4 +1,6 @@
 import ast
+import dataclasses
+import math
 import os
 import threading
 import tracemalloc
@@ -19,6 +21,7 @@ from mono3dkit.dataio import (
     read_labels,
     write_depth,
     write_detections,
+    write_label_dir,
     write_labels,
 )
 from mono3dkit.errors import DataIOError, InvalidIntrinsicsError, ParseError
@@ -154,6 +157,27 @@ class TestLabels:
             write_labels([record(), record(type="Fußgänger")], path)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt"]
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [(f.name, math.inf) for f in dataclasses.fields(KittiLabelRecord) if f.name not in ("type", "occluded", "line")]
+        + [("x", -math.inf), ("alpha", math.nan), ("score", math.nan)],
+    )
+    def test_label_dir_refuses_what_the_reader_refuses(self, tmp_path, name, value):
+        """A non-finite number in any float field is refused before the directory
+        exists, naming the file and the field."""
+        out = tmp_path / "out"
+        labels = {out / "000000.txt": [record()], out / "000001.txt": [record(), record(**{name: value})]}
+        with pytest.raises(ValueError, match=f"cannot write label file {out / '000001.txt'}: {name} is {value}"):
+            write_label_dir(out, labels)
+        assert not out.exists()
+
+    def test_label_dir_writes_the_largest_finite_numbers(self, tmp_path):
+        """Each field is checked on its own: finite values whose sum overflows pass."""
+        big = {f: 1e308 for f in ("truncated", "alpha", "left", "top", "right", "bottom", "x", "y", "z", "rotation_y")}
+        records = [record(**big), record(score=None)]
+        write_label_dir(tmp_path, {tmp_path / "000000.txt": records})
+        assert read_labels(tmp_path / "000000.txt") == records
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "a.txt"

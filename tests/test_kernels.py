@@ -429,18 +429,18 @@ class TestFiniteDiffCheck:
         real = kernels.finite_diff_check
         checked = []
 
-        def both(fn, inputs, h):
+        def both(fn, inputs):
             before = {name: np.array(x, copy=True) for name, x in inputs.items()}
-            got = real(fn, inputs, h=h)
+            got = real(fn, inputs)
             for name, x in inputs.items():
                 assert np.asarray(x).tobytes() == before[name].tobytes(), f"{name} was modified"
-            checked.append((got, oracles.copy_per_probe_finite_diff_check(fn, inputs, h=h)))
+            checked.append((got, oracles.copy_per_probe_finite_diff_check(fn, inputs, h=1e-5)))
             return got
 
         monkeypatch.setattr(kernels, "finite_diff_check", both)
         rng = kernels._suite_rng(seed, kernel)
         for _ in range(2):
-            kernels._SUITE[kernel](rng, 1e-5)
+            kernels._SUITE[kernel](rng)
         assert len(checked) == 2
         for got, want in checked:
             assert got == want

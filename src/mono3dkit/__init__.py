@@ -80,7 +80,6 @@ from .pseudolabel import (
     DimensionPrior,
     LabelingDiagnostics,
     LabelingResult,
-    OrientationEstimate,
     PseudoLabel,
     estimate_dimensions,
     generate_pseudo_labels,

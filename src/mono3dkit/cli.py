@@ -87,11 +87,12 @@ def _label_record(entry: pseudolabel.PseudoLabel) -> dataio.KittiLabelRecord:
 
 
 def cmd_pseudolabel(args) -> int:
-    cfg = _load_pipeline_config(args)
     det_dir = dataio.input_dir(args.detections, "detections")
     depth_dir = dataio.input_dir(args.depth, "depth")
     calib_dir = dataio.input_dir(args.calib, "calib")
     out_dir = Path(args.out)
+    dataio.check_out_dir(out_dir, {"--detections": det_dir, "--depth": depth_dir, "--calib": calib_dir})
+    cfg = _load_pipeline_config(args)
 
     images = _gather_detections(det_dir)
     image_ids = sorted(images)
@@ -315,6 +316,7 @@ def cmd_normalize(args) -> int:
     label_dir = dataio.input_dir(args.labels, "label")
     calib_dir = dataio.input_dir(args.calib, "calib")
     out_dir = Path(args.out)
+    dataio.check_out_dir(out_dir, {"--labels": label_dir, "--calib": calib_dir})
     spec = geometry.VirtualCameraSpec(focal=args.focal, width=args.width, height=args.height)
     for flag, size in (("--image-width", args.image_width), ("--image-height", args.image_height)):
         if size <= 0:

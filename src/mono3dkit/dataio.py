@@ -6,7 +6,8 @@ Formats:
   floats at 2 decimal places.  write(read(write(x))) is byte-identical.
 * KITTI calibration files: "KEY: v0 v1 ..." lines; the camera intrinsics
   are P2's 3x4 projection matrix at a given image size.
-* Detections: JSON-lines with a schema header line, one image per record.
+* Detections: JSON-lines with a schema header line, one image per record;
+  an image id must be a plain file name (no separator, not `.` or `..`).
 * Depth rasters: binary "DPR1" magic, uint32 width/height, little-endian
   float32 payload; non-finite or <= 0 values mark invalid pixels.
 * Loss lists: one "loss" or "name loss" line per value.
@@ -55,6 +56,7 @@ __all__ = [
     "DETECTION_VERSION",
     "DEPTH_MAGIC",
     "input_dir",
+    "check_out_dir",
     "input_files",
     "read_labels",
     "write_labels",
@@ -166,6 +168,15 @@ def input_dir(d, what: str) -> Path:
     if not d.is_dir():
         raise DataIOError(f"{what} directory {d} does not exist")
     return d
+
+
+def check_out_dir(out: Path, inputs) -> None:
+    """Refuse an `out` that is the same directory as one of `inputs`, a
+    ``{flag: directory}`` map, by ``os.path.samefile``: writing labels there
+    would replace the inputs.  A DataIOError naming both flags."""
+    for flag, d in inputs.items():
+        if out.exists() and os.path.samefile(out, d):
+            raise DataIOError(f"--out {out} is the {flag} directory {d}; choose another --out")
 
 
 def input_files(d: Path, pattern: str, what: str) -> List[Path]:
@@ -381,6 +392,9 @@ def read_detections(path) -> Dict[str, List[DetectionEntry]]:
         if "image" not in record or "detections" not in record:
             raise ParseError("record needs 'image' and 'detections'", path=path, line=lineno)
         image = str(record["image"])
+        # The id names the depth, calibration and label files: it must not leave their directories.
+        if image in ("", ".", "..") or {"/", os.sep, os.altsep, "\0"} & set(image):
+            raise ParseError(f"image id {image!r} is not a plain file name", path=path, line=lineno)
         if image in images:
             raise ParseError(f"duplicate image id {image!r}", path=path, line=lineno)
         dets = record["detections"]

@@ -3,8 +3,8 @@
 Each sufficiently confident 2D detection is turned into a yaw-oriented 3D
 box: a projection point is chosen inside the box (dodging overlapping
 detections), metric depth is sampled from the depth raster at that point,
-the point is lifted into virtual camera space, and the box dimensions are
-read off the 2D extent with per-class priors.
+the 2D box center is lifted at the sampled depth into virtual camera space,
+and the box dimensions are read off the 2D extent with per-class priors.
 
 The depth raster must hold *metric* depth.  Relative-depth outputs from
 monocular estimators are not rescaled here; feeding them in produces boxes
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .geometry import CameraIntrinsics, VirtualCameraSpec, wrap_angle
 
 __all__ = [
     "Detection2D",
-    "OrientationEstimate",
     "DepthRaster",
     "ClassPrior",
     "DimensionPrior",
@@ -57,22 +56,6 @@ class Detection2D:
         if not (0.0 <= self.score <= 1.0):
             raise ValueError(f"score {self.score} outside [0, 1]")
 
-    @property
-    def center(self):
-        return (self.left + self.right) / 2.0, (self.top + self.bottom) / 2.0
-
-
-@dataclass(frozen=True)
-class OrientationEstimate:
-    """Yaw about the camera vertical axis, normalized into (-pi, pi]."""
-
-    yaw: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.yaw):
-            raise ValueError(f"yaw must be finite, got {self.yaw}")
-        object.__setattr__(self, "yaw", wrap_angle(self.yaw))
-
 
 @dataclass(frozen=True)
 class DepthRaster:
@@ -90,10 +73,6 @@ class DepthRaster:
         arr = np.array(values, dtype=np.float64)
         arr.setflags(write=False)
         return cls(values=arr)
-
-    @property
-    def valid(self) -> np.ndarray:
-        return np.isfinite(self.values) & (self.values > 0)
 
     @property
     def width(self) -> int:
@@ -132,9 +111,6 @@ class DimensionPrior:
     def __post_init__(self):
         if not (0 < self.alpha <= 1 <= self.beta):
             raise ValueError(f"clamp bounds must satisfy 0 < alpha <= 1 <= beta, got ({self.alpha}, {self.beta})")
-
-    def for_class(self, class_id: str) -> Optional[ClassPrior]:
-        return self.classes.get(class_id)
 
 
 @dataclass(frozen=True)
@@ -197,8 +173,13 @@ def _lattice(start: np.ndarray, stop: np.ndarray, grid: int) -> np.ndarray:
     return out
 
 
+def _box_centers(edges: np.ndarray):
+    """The (u, v) arrays of the 2D box centers of an (N, 4) edge array."""
+    return (edges[:, 0] + edges[:, 2]) / 2.0, (edges[:, 1] + edges[:, 3]) / 2.0
+
+
 def _projection_points(edges: np.ndarray, grid: int):
-    """The pixel whose back-projection anchors each box of one image's (N, 4) edge array.
+    """The pixel where each box of one image's (N, 4) edge array samples its depth.
 
     A box keeps its center unless another row holds it strictly inside (a
     shared edge does not count; a row never occludes itself, a twin at
@@ -209,8 +190,7 @@ def _projection_points(edges: np.ndarray, grid: int):
     conflict.  Returns the arrays (u, v, occluded, conflict), where
     `occluded` marks the rows whose center another box contains.
     """
-    cu = (edges[:, 0] + edges[:, 2]) / 2.0
-    cv = (edges[:, 1] + edges[:, 3]) / 2.0
+    cu, cv = _box_centers(edges)
     left, top, right, bottom = edges.T
     # Built in place: at N = 400 each (N, N) temporary is 160 kB.
     covered = left < cu[:, None]
@@ -296,7 +276,7 @@ def estimate_dimensions(
     """
     if z <= 0:
         raise NonPositiveDepthError(f"depth must be > 0, got {z}")
-    cls = prior.for_class(det.class_id)
+    cls = prior.classes.get(det.class_id)
     if cls is None:
         raise KeyError(f"no dimension prior for class {det.class_id!r}")
     h = (det.bottom - det.top) * z / intr.fy
@@ -358,7 +338,8 @@ def generate_pseudo_labels(
     Detections below `score_threshold` are eliminated up front.  The
     survivors go through one array pass: choose every projection point
     (other survivors act as occluders), sample metric depth at each, and
-    lift the points and the 2D boxes into virtual space.  Each box then gets
+    lift the 2D box centers at those depths, and the 2D boxes, into virtual
+    space.  The point only supplies the depth.  Each box then gets
     its dimensions against the original intrinsics, its yaw and its score.
     Detections whose point has no valid depth, falls off the raster, or
     whose class has no prior are dropped and counted.  Output is sorted by
@@ -378,7 +359,10 @@ def generate_pseudo_labels(
     kept = []
     for det, yaw in zip(dets, yaws):
         if det.score >= score_threshold:
-            kept.append((det, OrientationEstimate(float(yaw))))
+            yaw = float(yaw)
+            if not math.isfinite(yaw):
+                raise ValueError(f"yaw must be finite, got {yaw}")
+            kept.append((det, wrap_angle(yaw)))
         else:
             diag.n_below_threshold += 1
 
@@ -387,14 +371,14 @@ def generate_pseudo_labels(
     us, vs, occluded, conflict = _projection_points(edges, fallback_grid)
     zs = _sample_depths(depth, us, vs, depth_window)
     has_depth = ~np.isnan(zs)
-    has_prior = np.array([prior.for_class(d.class_id) is not None for d, _ in kept], dtype=bool)
+    has_prior = np.array([prior.classes.get(d.class_id) is not None for d, _ in kept], dtype=bool)
     lift = np.flatnonzero(has_depth & has_prior)
     diag.n_fallback = int(occluded.sum())
     diag.n_conflict = int(conflict.sum())
     diag.n_no_depth = int((~has_depth).sum())
     diag.n_no_prior = int((has_depth & ~has_prior).sum())
 
-    u_v, v_v, z_v = geometry.to_virtual(us[lift], vs[lift], zs[lift], intr, spec)
+    u_v, v_v, z_v = geometry.to_virtual(*_box_centers(edges[lift]), zs[lift], intr, spec)
     center = geometry.backproject(u_v, v_v, z_v, vintr)
     left, top = vintr.pixel(edges[lift, 0], edges[lift, 1])
     right, bottom = vintr.pixel(edges[lift, 2], edges[lift, 3])
@@ -405,7 +389,7 @@ def generate_pseudo_labels(
     centers = zip(center.x.tolist(), center.y.tolist(), center.z.tolist())
     for i, (u, v, z, flag), (x, y, z_virtual), bbox in zip(lift.tolist(), points, centers, bboxes):
         det, yaw = kept[i]
-        h, w, l = estimate_dimensions(det, z, yaw.yaw, intr, prior)
+        h, w, l = estimate_dimensions(det, z, yaw, intr, prior)
         box = Box3D(
             class_id=det.class_id,
             x=x,
@@ -414,7 +398,7 @@ def generate_pseudo_labels(
             h=h,
             w=w,
             l=l,
-            yaw=yaw.yaw,
+            yaw=yaw,
             score=det.score,
         )
         labels.append(PseudoLabel(box=box, source=det, bbox=bbox, point_u=u, point_v=v, conflict=flag))

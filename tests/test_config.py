@@ -24,7 +24,7 @@ class TestDefaults:
         assert (spec.focal, spec.width, spec.height) == (900.0, 1274, 644)
         prior = cfg.dimension_prior()
         assert prior.alpha == 0.5 and prior.beta == 2.0
-        assert prior.for_class("Car") is not None
+        assert "Car" in prior.classes
 
 
 class TestParsing:

@@ -272,8 +272,9 @@ class TestDepth:
         write_depth(values, path)
         raster = read_depth(path)
         assert raster.width == 4 and raster.height == 3
-        assert not raster.valid[1, 2] and not raster.valid[0, 0]
-        assert raster.valid.sum() == 10
+        valid = np.isfinite(raster.values) & (raster.values > 0)
+        assert not valid[1, 2] and not valid[0, 0]
+        assert valid.sum() == 10
         assert raster.values[2, 3] == np.float32(11.5)
 
     def test_values_are_a_read_only_float32_view(self, tmp_path):
@@ -443,6 +444,14 @@ class TestDetections:
         ]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError) as err:
+            read_detections(path)
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("image", ["", ".", "..", "../escaped", "a/b", "/abs", "a\0b"])
+    def test_image_id_must_be_a_plain_file_name(self, tmp_path, image):
+        path = tmp_path / "dets.jsonl"
+        write_detections({"a": [], image: [entry()]}, path)
+        with pytest.raises(ParseError, match="is not a plain file name") as err:
             read_detections(path)
         assert err.value.line == 3
 

@@ -5,9 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mono3dkit import geometry, pseudolabel
+import fixtures
+from mono3dkit import dataio, geometry, kernels, pseudolabel
+from mono3dkit.config import PipelineConfig
 from mono3dkit.errors import MisalignedInputsError, NonPositiveDepthError
-from mono3dkit.geometry import CameraIntrinsics, VirtualCameraSpec
+from mono3dkit.geometry import CameraIntrinsics, VirtualCameraSpec, wrap_angle
 from mono3dkit.pseudolabel import (
     Box3D,
     ClassPrior,
@@ -15,7 +17,6 @@ from mono3dkit.pseudolabel import (
     DepthRaster,
     DimensionPrior,
     LabelingDiagnostics,
-    OrientationEstimate,
     PseudoLabel,
     estimate_dimensions,
     generate_pseudo_labels,
@@ -35,6 +36,11 @@ def det(left, top, right, bottom, score=0.9, cls="Pedestrian"):
     return Detection2D(class_id=cls, left=left, top=top, right=right, bottom=bottom, score=score)
 
 
+def box_center(d):
+    """The center of a detection's box, from its edges."""
+    return (d.left + d.right) / 2.0, (d.top + d.bottom) / 2.0
+
+
 def scalar_lattice(start, stop, grid):
     """The fallback lattice in plain floats: start + k * step, or start + (k / div) * delta
     where the step is 0, with the last point stop itself."""
@@ -51,7 +57,7 @@ def scalar_projection_point(subject, others, grid):
     def inside(o, u, v):
         return o.left < u < o.right and o.top < v < o.bottom
 
-    cu, cv = subject.center
+    cu, cv = box_center(subject)
     if not any(inside(o, cu, cv) for o in others):
         return cu, cv, False
     half_w = (subject.right - subject.left) / 4.0
@@ -87,6 +93,12 @@ def window_depths(raster, u, v, window):
     return patch[np.isfinite(patch) & (patch > 0)]
 
 
+def valid_pixels(raster):
+    """Each pixel's validity as _sample_depths sees it: window 1 gives a depth iff the pixel is valid."""
+    v, u = np.indices(raster.values.shape, dtype=np.float64)
+    return ~np.isnan(pseudolabel._sample_depths(raster, u.ravel(), v.ravel(), window=1)).reshape(v.shape)
+
+
 def median_depth(raster, u, v, window):
     """Reference: np.median of the window's valid depths, or None when it has none."""
     valid = window_depths(raster, u, v, window)
@@ -96,23 +108,23 @@ def median_depth(raster, u, v, window):
 def per_detection_labels(dets, depth, yaws, intr, spec, prior, threshold, window, grid):
     """Reference: generate_pseudo_labels as one scalar pass per detection over the two oracles above."""
     diag = LabelingDiagnostics(n_detections=len(dets))
-    kept = [(d, OrientationEstimate(y).yaw) for d, y in zip(dets, yaws) if d.score >= threshold]
+    kept = [(d, wrap_angle(float(y))) for d, y in zip(dets, yaws) if d.score >= threshold]
     diag.n_below_threshold = len(dets) - len(kept)
     vintr = geometry.make_virtual_intrinsics(intr, spec)
     labels = []
     for i, (d, yaw) in enumerate(kept):
         u, v, conflict = scalar_projection_point(d, [o for j, (o, _) in enumerate(kept) if j != i], grid)
         diag.n_conflict += conflict
-        diag.n_fallback += conflict or (u, v) != d.center
+        diag.n_fallback += conflict or (u, v) != box_center(d)
         z = median_depth(depth, u, v, window)
         if z is None:
             diag.n_no_depth += 1
             continue
-        if prior.for_class(d.class_id) is None:
+        if prior.classes.get(d.class_id) is None:
             diag.n_no_prior += 1
             continue
         h, w, l = estimate_dimensions(d, z, yaw, intr, prior)
-        center = geometry.backproject(*geometry.to_virtual(u, v, z, intr, spec), vintr)
+        center = geometry.backproject(*geometry.to_virtual(*box_center(d), z, intr, spec), vintr)
         box = Box3D(d.class_id, center.x, center.y + h / 2.0, center.z, h, w, l, yaw, d.score)
         bbox = (*vintr.pixel(d.left, d.top), *vintr.pixel(d.right, d.bottom))
         labels.append(PseudoLabel(box=box, source=d, bbox=bbox, point_u=u, point_v=v, conflict=conflict))
@@ -159,21 +171,29 @@ class TestDomainTypes:
         [(0.0, 0.0), (math.pi, math.pi), (-math.pi, math.pi), (3 * math.pi, math.pi), (math.tau + 0.5, 0.5)],
     )
     def test_yaw_wrapped_into_half_open_interval(self, raw, expected):
-        assert OrientationEstimate(raw).yaw == pytest.approx(expected, abs=1e-12)
+        raster = DepthRaster.from_values(np.full((480, 640), 10.0))
+        result = generate_pseudo_labels([det(100, 100, 200, 300)], raster, [raw], INTR, IDENTITY_SPEC, PRIOR)
+        [box] = result.boxes
+        assert box.yaw == pytest.approx(expected, abs=1e-12)
 
     def test_yaw_must_be_finite(self):
-        with pytest.raises(ValueError):
-            OrientationEstimate(float("nan"))
+        raster = DepthRaster.from_values(np.full((480, 640), 10.0))
+        with pytest.raises(ValueError, match="yaw must be finite"):
+            generate_pseudo_labels([det(100, 100, 200, 300)], raster, [float("nan")], INTR, IDENTITY_SPEC, PRIOR)
+        # Only a kept detection's yaw is checked.
+        dropped = [det(100, 100, 200, 300, score=0.05)]
+        result = generate_pseudo_labels(dropped, raster, [float("nan")], INTR, IDENTITY_SPEC, PRIOR)
+        assert result.diagnostics.n_below_threshold == 1
 
     def test_depth_raster_mask_derivation(self):
         values = np.array([[1.0, -2.0], [np.nan, 5.0]])
         raster = DepthRaster.from_values(values)
-        assert raster.valid.tolist() == [[True, False], [False, True]]
+        assert valid_pixels(raster).tolist() == [[True, False], [False, True]]
         assert raster.width == 2 and raster.height == 2
 
     def test_depth_raster_nan_marks_invalid(self):
         raster = DepthRaster.from_values([[1.0, np.nan], [1.0, 1.0]])
-        assert raster.valid.sum() == 3
+        assert valid_pixels(raster).sum() == 3
 
     def test_prior_validation(self):
         with pytest.raises(ValueError):
@@ -236,7 +256,7 @@ class TestProjectionPoints:
                 if i % 2:
                     # occluders whose edges pass exactly through the subject's center
                     subject = scene[i]
-                    cu, cv = subject.center
+                    cu, cv = box_center(subject)
                     scene += [
                         det(cu, subject.top, cu + 4, subject.bottom),
                         det(cu - 4, subject.top, cu, subject.bottom),
@@ -253,7 +273,7 @@ class TestProjectionPoints:
                     if expected[2]:
                         outcomes["conflict"] += 1
                     else:
-                        outcomes["center" if expected[:2] == scene[i].center else "grid"] += 1
+                        outcomes["center" if expected[:2] == box_center(scene[i]) else "grid"] += 1
         assert min(outcomes.values()) >= 20, outcomes
 
 
@@ -352,7 +372,7 @@ class TestEstimateDimensions:
         assert h == pytest.approx(1.0, rel=1e-12)
 
     def test_consistent_box_keeps_prior_dims(self):
-        cls = PRIOR.for_class("Pedestrian")
+        cls = PRIOR.classes["Pedestrian"]
         z = 10.0
         width_px = INTR.fx * cls.width / z
         d = det(100, 100, 100 + width_px, 200)
@@ -361,7 +381,7 @@ class TestEstimateDimensions:
         assert l == pytest.approx(cls.length, rel=1e-12)
 
     def test_clamp_saturates_at_beta(self):
-        cls = PRIOR.for_class("Pedestrian")
+        cls = PRIOR.classes["Pedestrian"]
         z = 10.0
         width_px = INTR.fx * cls.width / z
         d = det(100, 100, 100 + 10 * width_px, 200)
@@ -370,7 +390,7 @@ class TestEstimateDimensions:
         assert l == pytest.approx(2.0 * cls.length, rel=1e-12)
 
     def test_clamp_saturates_at_alpha(self):
-        cls = PRIOR.for_class("Pedestrian")
+        cls = PRIOR.classes["Pedestrian"]
         z = 10.0
         width_px = INTR.fx * cls.width / z
         d = det(100, 100, 100 + 0.01 * width_px, 200)
@@ -382,7 +402,7 @@ class TestEstimateDimensions:
         for yaw in (0.3, 1.1, -2.0):
             base = estimate_dimensions(d, 8.0, yaw, INTR, PRIOR)
             assert estimate_dimensions(d, 8.0, -yaw, INTR, PRIOR) == base
-            mirrored = OrientationEstimate(yaw + math.pi).yaw
+            mirrored = wrap_angle(yaw + math.pi)
             flipped = estimate_dimensions(d, 8.0, mirrored, INTR, PRIOR)
             assert flipped[1] == pytest.approx(base[1], rel=1e-9)
             assert flipped[2] == pytest.approx(base[2], rel=1e-9)
@@ -460,6 +480,20 @@ class TestGeneratePseudoLabels:
             assert abs(u - point_u) <= 0.5
             assert abs(v - point_v) <= 0.5
 
+    def test_fallback_label_lifts_the_box_center(self):
+        """A row whose center another box covers samples depth at a lattice point,
+        but its 3D center still projects to the mapped 2D box center."""
+        dets = [det(100, 100, 200, 300, score=0.9), det(100, 100, 160, 300, score=0.8)]
+        result = generate_pseudo_labels(
+            dets, self.constant_raster(8.0), [0.4, -1.0], INTR, self.ANISOTROPIC_SPEC, PRIOR
+        )
+        vintr = geometry.make_virtual_intrinsics(INTR, self.ANISOTROPIC_SPEC)
+        assert result.diagnostics.n_fallback == 2 and len(result.labels) == 2
+        assert any((entry.point_u, entry.point_v) != box_center(entry.source) for entry in result.labels)
+        for entry in result.labels:
+            u, v = geometry.project(entry.box.center_point(), vintr)
+            assert (u, v) == pytest.approx(vintr.pixel(*box_center(entry.source)), abs=1e-9)
+
     def test_height_law_and_clamp_invariants(self):
         rng = np.random.default_rng(21)
         spec = VirtualCameraSpec(focal=800.0, width=960, height=540)
@@ -473,7 +507,7 @@ class TestGeneratePseudoLabels:
             yaws.append(float(rng.uniform(-math.pi, math.pi)))
         depth = DepthRaster.from_values(rng.uniform(3.0, 40.0, size=(480, 640)))
         result = generate_pseudo_labels(dets, depth, yaws, INTR, spec, PRIOR)
-        cls = PRIOR.for_class("Pedestrian")
+        cls = PRIOR.classes["Pedestrian"]
         for entry in result.labels:
             z = entry.box.z * INTR.fx / spec.focal  # depth back in source camera
             expected_h = (entry.source.bottom - entry.source.top) * z / INTR.fy
@@ -576,7 +610,7 @@ class TestOneArrayPassPerImage:
         on both sides of the default threshold and a class without a prior."""
         dets = crowded_scene(rng, n)
         for subject in dets[: n // 8]:
-            cu, cv = subject.center
+            cu, cv = box_center(subject)
             dets += [det(cu, subject.top, cu + 4, subject.bottom), det(subject.left, cv - 4, subject.right, cv)]
         scores = rng.choice([0.05, 0.3, 0.9], size=len(dets)).tolist()
         classes = rng.choice(["Pedestrian", "Pedestrian", "Car", "Unicorn"], size=len(dets)).tolist()
@@ -664,3 +698,29 @@ class TestOneArrayPassPerImage:
         lattice = pseudolabel._lattice(start, stop, grid)
         for row, a, b in zip(lattice.tolist(), start.tolist(), stop.tolist()):
             assert row == np.linspace(a, b, grid).tolist()
+
+
+class TestHeightResidual:
+    """The 2D-3D height consistency of pseudo-labels on the arithmetic truth scene."""
+
+    def test_identity_size_camera_labels_are_height_consistent(self, tmp_path):
+        """With a virtual camera of the source's focal and size, every label's height
+        projects onto its written 2D box height.  The default camera (1274x644) reads
+        median 26.6 and max 49.5 (the clamp is 50): ROADMAP item 1, not asserted here."""
+        spec = VirtualCameraSpec(focal=fixtures.KITTI_P2[0], width=fixtures.KITTI_W, height=fixtures.KITTI_H)
+        prior = PipelineConfig().dimension_prior()
+        ids = fixtures.build_truth_scene(tmp_path)
+        images = dataio.read_detections(tmp_path / "detections" / "scene.jsonl")
+        losses = []
+        for image in ids:
+            depth = dataio.read_depth(tmp_path / "depth" / f"{image}.dpr")
+            intr = dataio.read_calib(tmp_path / "calib" / f"{image}.txt", depth.width, depth.height)
+            entries = images[image]
+            result = generate_pseudo_labels(
+                [e.detection for e in entries], depth, [e.yaw for e in entries], intr, spec, prior
+            )
+            for entry in result.labels:
+                _, top, _, bottom = entry.bbox
+                losses.append(kernels.consistency_loss(entry.box.h, entry.box.z, spec.focal, bottom - top).value)
+        assert len(losses) == 24
+        assert max(losses) <= 1e-12

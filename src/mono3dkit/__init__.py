@@ -81,7 +81,6 @@ from .pseudolabel import (
     LabelingDiagnostics,
     LabelingResult,
     PseudoLabel,
-    estimate_dimensions,
     generate_pseudo_labels,
 )
 

@@ -317,7 +317,10 @@ def cmd_normalize(args) -> int:
     calib_dir = dataio.input_dir(args.calib, "calib")
     out_dir = Path(args.out)
     dataio.check_out_dir(out_dir, {"--labels": label_dir, "--calib": calib_dir})
-    spec = geometry.VirtualCameraSpec(focal=args.focal, width=args.width, height=args.height)
+    try:
+        spec = geometry.VirtualCameraSpec(focal=args.focal, width=args.width, height=args.height)
+    except InvalidIntrinsicsError as exc:
+        raise InvalidIntrinsicsError(f"--focal, --width, --height: {exc}") from None
     for flag, size in (("--image-width", args.image_width), ("--image-height", args.image_height)):
         if size <= 0:
             raise InvalidIntrinsicsError(f"{flag} must be positive, got {size}")

@@ -18,9 +18,10 @@ Readers reject malformed input instead of repairing it, and every parse
 error names the file and line.  Every number in a text file must be
 finite; which values are valid beyond that, the domain types
 (:class:`Detection2D`, :class:`CameraIntrinsics`) decide.  The label
-writer refuses what the label reader refuses: :func:`write_label_dir`
-raises a ValueError naming the file and field for a non-finite number,
-before it writes anything.  All serialization is locale-independent.
+writers refuse what the label reader refuses: :func:`write_labels` raises
+a ValueError naming the file and field for a non-finite number, and
+:func:`write_label_dir` does so before it writes any file.  All
+serialization is locale-independent.
 
 Every input is opened by :func:`_open_input` and must be a regular file: a
 FIFO, directory, device or pipe (``<(...)``) is a DataIOError, never waited on.
@@ -227,6 +228,7 @@ def read_labels(path) -> List[KittiLabelRecord]:
 
 
 def write_labels(records, path) -> None:
+    _check_finite(path, records)
     body = "".join(format_label_line(rec) + "\n" for rec in records)
     _write_bytes(Path(path), body.encode("ascii"), "label")
 

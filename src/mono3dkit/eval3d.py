@@ -54,6 +54,8 @@ _MIN_HEIGHT = (40.0, 25.0, 25.0)
 _MAX_OCCLUSION = (0, 1, 2)
 _MAX_TRUNCATION = (0.15, 0.30, 0.50)
 
+MAX_HISTOGRAM_BINS = 10**6  # height_histogram's cap: a tiny bin_width must not allocate billions
+
 
 @dataclass(frozen=True)
 class MatchConfig:
@@ -449,8 +451,11 @@ def height_histogram(preds: Sequence[Box3D], bin_width: float) -> HeightStats:
     if len(preds) == 0:
         raise EmptyInputError("height_histogram needs at least one box")
     heights = np.array([b.h for b in preds], dtype=float)
-    first = math.floor(heights.min() / bin_width)
-    last = math.floor(heights.max() / bin_width)
+    low, high = float(heights.min()) / bin_width, float(heights.max()) / bin_width  # Python floats: inf, no warning
+    n_bins = math.floor(high) - math.floor(low) + 1 if high < math.inf else math.inf
+    if n_bins > MAX_HISTOGRAM_BINS:
+        raise ValueError(f"bin_width {bin_width} gives {n_bins:.3g} bins, more than {MAX_HISTOGRAM_BINS}")
+    first, last = math.floor(low), math.floor(high)
     edges = (np.arange(first, last + 2)) * bin_width
     idx = np.floor(heights / bin_width).astype(int) - first
     counts = np.bincount(idx, minlength=last - first + 1)

@@ -35,6 +35,17 @@ __all__ = [
 ]
 
 
+# Focal lengths (px) a camera may have: f_v / fx stays in [1e-6, 1e6], so z * f_v / fx is finite for float32 z.
+FOCAL_RANGE = (1.0, 1e6)
+
+
+def _check_focal(**focals) -> None:
+    lo, hi = FOCAL_RANGE
+    if not all(lo <= f <= hi for f in focals.values()):  # NaN compares false
+        got = ", ".join(f"{name}={f}" for name, f in focals.items())
+        raise InvalidIntrinsicsError(f"focal lengths must be positive and in [{lo:g}, {hi:g}] px, got {got}")
+
+
 def _check_depth(z):
     # NaN compares false, so a NaN depth passes.
     if (np.asarray(z) <= 0).any():
@@ -70,8 +81,7 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
-            raise InvalidIntrinsicsError(f"focal lengths must be positive and finite, got fx={self.fx}, fy={self.fy}")
+        _check_focal(fx=self.fx, fy=self.fy)
         _check_image_size(self.width, self.height)
         if not (0 <= self.cx <= self.width) or not (0 <= self.cy <= self.height):
             raise InvalidIntrinsicsError(
@@ -88,10 +98,8 @@ class VirtualCameraSpec:
     height: int
 
     def __post_init__(self):
-        if not (0 < self.focal < math.inf) or self.width <= 0 or self.height <= 0:
-            raise InvalidIntrinsicsError(
-                f"virtual camera parameters must be positive and finite, got focal={self.focal}, size={self.width}x{self.height}"
-            )
+        _check_focal(focal=self.focal)
+        _check_image_size(self.width, self.height)
 
 
 @dataclass(frozen=True)

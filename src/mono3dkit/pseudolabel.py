@@ -32,7 +32,6 @@ __all__ = [
     "PseudoLabel",
     "LabelingDiagnostics",
     "LabelingResult",
-    "estimate_dimensions",
     "generate_pseudo_labels",
 ]
 
@@ -260,34 +259,6 @@ def _sample_depths(raster: DepthRaster, u: np.ndarray, v: np.ndarray, window: in
     return np.where(count == 0, np.nan, np.where(count % 2 == 1, upper, (lower + upper) / 2))
 
 
-def estimate_dimensions(
-    det: Detection2D,
-    z: float,
-    yaw: float,
-    intr: CameraIntrinsics,
-    prior: DimensionPrior,
-):
-    """Heuristic metric dimensions (h, w, l) for a detection at depth z.
-
-    Height comes straight from the projective relation
-    h = (bottom - top) * z / fy.  Width and length scale the class priors
-    by the ratio of the observed 2D width to the width the priors would
-    project to at this depth and yaw, clamped into [alpha, beta].
-    """
-    if z <= 0:
-        raise NonPositiveDepthError(f"depth must be > 0, got {z}")
-    cls = prior.classes.get(det.class_id)
-    if cls is None:
-        raise KeyError(f"no dimension prior for class {det.class_id!r}")
-    h = (det.bottom - det.top) * z / intr.fy
-    width_2d = (intr.fx / z) * (abs(cls.width * math.cos(yaw)) + abs(cls.length * math.sin(yaw)))
-    if width_2d == 0.0:
-        raise ValueError("degenerate projected width; prior dimensions cannot both be zero")
-    scale = abs((det.right - det.left) / width_2d)
-    clamped = min(max(scale, prior.alpha), prior.beta)
-    return h, cls.width * clamped, cls.length * clamped
-
-
 @dataclass(frozen=True)
 class PseudoLabel:
     """One emitted box plus its provenance within the source image."""
@@ -339,12 +310,14 @@ def generate_pseudo_labels(
     survivors go through one array pass: choose every projection point
     (other survivors act as occluders), sample metric depth at each, and
     lift the 2D box centers at those depths, and the 2D boxes, into virtual
-    space.  The point only supplies the depth.  Each box then gets
-    its dimensions against the original intrinsics, its yaw and its score.
-    Detections whose point has no valid depth, falls off the raster, or
-    whose class has no prior are dropped and counted.  Output is sorted by
-    descending score (ties keep input order); identical inputs produce
-    bit-identical output.
+    space.  The point only supplies the depth.  At the sampled source depth
+    z, a box gets h = (bottom - top) * z / fy and the prior's width and
+    length times the 2D box width over (fx / z) * (|width * cos yaw| +
+    |length * sin yaw|), clamped into [alpha, beta]; its y is the bottom
+    face, the lifted center's y + h / 2.  Detections whose point has no
+    valid depth, falls off the raster, or whose class has no prior are
+    dropped and counted.  Output is sorted by descending score (ties keep
+    input order); identical inputs produce bit-identical output.
 
     `yaws` is index-aligned with `dets`: one yaw in radians per detection.
     """
@@ -371,29 +344,38 @@ def generate_pseudo_labels(
     us, vs, occluded, conflict = _projection_points(edges, fallback_grid)
     zs = _sample_depths(depth, us, vs, depth_window)
     has_depth = ~np.isnan(zs)
-    has_prior = np.array([prior.classes.get(d.class_id) is not None for d, _ in kept], dtype=bool)
+    priors = [prior.classes.get(d.class_id) for d, _ in kept]
+    has_prior = np.array([cls is not None for cls in priors], dtype=bool)
     lift = np.flatnonzero(has_depth & has_prior)
     diag.n_fallback = int(occluded.sum())
     diag.n_conflict = int(conflict.sum())
     diag.n_no_depth = int((~has_depth).sum())
     diag.n_no_prior = int((has_depth & ~has_prior).sum())
 
-    u_v, v_v, z_v = geometry.to_virtual(*_box_centers(edges[lift]), zs[lift], intr, spec)
+    z = zs[lift]
+    u_v, v_v, z_v = geometry.to_virtual(*_box_centers(edges[lift]), z, intr, spec)
     center = geometry.backproject(u_v, v_v, z_v, vintr)
-    left, top = vintr.pixel(edges[lift, 0], edges[lift, 1])
-    right, bottom = vintr.pixel(edges[lift, 2], edges[lift, 3])
-    bboxes = zip(left.tolist(), top.tolist(), right.tolist(), bottom.tolist())
+    # cos and sin come from math, row by row: numpy's can differ by 1 ulp.
+    rows = [(priors[i].width, priors[i].length, math.cos(kept[i][1]), math.sin(kept[i][1])) for i in lift.tolist()]
+    prior_w, prior_l, cos, sin = np.array(rows, dtype=np.float64).reshape(-1, 4).T
+    left, top, right, bottom = edges[lift].T
+    # Overflow gives inf (and inf / inf NaN) quietly, as Python floats do; the clamp maps inf to beta.
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = (bottom - top) * z / intr.fy
+        width_2d = (intr.fx / z) * (np.abs(prior_w * cos) + np.abs(prior_l * sin))
+        if (width_2d == 0.0).any():
+            raise ValueError("degenerate projected width; prior dimensions cannot both be zero")
+        scale = np.minimum(np.maximum(np.abs((right - left) / width_2d), prior.alpha), prior.beta)
+        w, l, y = prior_w * scale, prior_l * scale, center.y + h / 2.0
+    columns = (lift, us[lift], vs[lift], conflict[lift], center.x, y, center.z, h, w, l)
+    bboxes = zip(*(c.tolist() for c in (*vintr.pixel(left, top), *vintr.pixel(right, bottom))))
     labels = []
-    # estimate_dimensions stays per row: numpy's cos/sin can differ from math's by 1 ulp.
-    points = zip(us[lift].tolist(), vs[lift].tolist(), zs[lift].tolist(), conflict[lift].tolist())
-    centers = zip(center.x.tolist(), center.y.tolist(), center.z.tolist())
-    for i, (u, v, z, flag), (x, y, z_virtual), bbox in zip(lift.tolist(), points, centers, bboxes):
+    for (i, u, v, flag, x, y, z_virtual, h, w, l), bbox in zip(zip(*(c.tolist() for c in columns)), bboxes):
         det, yaw = kept[i]
-        h, w, l = estimate_dimensions(det, z, yaw, intr, prior)
         box = Box3D(
             class_id=det.class_id,
             x=x,
-            y=y + h / 2.0,
+            y=y,
             z=z_virtual,
             h=h,
             w=w,

@@ -8,7 +8,8 @@ import stat
 import subprocess
 import sys
 import threading
-from dataclasses import fields
+import warnings
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -506,6 +507,17 @@ class TestStatsCommand:
         pred = self.write_label_dir(tmp_path, [1.7])
         assert main(["stats", "--pred", str(pred), "--class-name", "Car"]) == 2
 
+    @pytest.mark.parametrize("bin_width, count", [("1e-10", "1e+10"), ("1e-300", "1e+300")])
+    def test_bin_count_is_capped(self, tmp_path, capsys, bin_width, count):
+        """A bin width far below the heights' spread is out of range (exit 3), not an allocation."""
+        pred = self.write_label_dir(tmp_path, [1.0, 2.0])
+        out = tmp_path / "hist.txt"
+        assert main(["stats", "--pred", str(pred), "--class-name", "Pedestrian",
+                     "--bin-width", bin_width, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"bin_width {float(bin_width)} gives {count} bins, more than 1000000" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("heights", [[1.7, -1.7], [1.7, 0.0]])
     def test_nonpositive_height_is_data_error_with_file(self, tmp_path, capsys, heights):
         pred = self.write_label_dir(tmp_path, heights)
@@ -699,28 +711,29 @@ class TestOutputsAreWrittenWhole:
         assert f"{calib / '000001.txt'}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "extra, calib_fx, refused",
-        [(("--virtual-focal", "1e308"), None, "000000.txt"), ((), 1e-310, "000001.txt")],
-        ids=["virtual-focal", "calib-fx"],
-    )
-    def test_pseudolabel_refuses_a_label_the_reader_refuses(self, tmp_path, capsys, extra, calib_fx, refused):
-        """A depth scale that overflows gives an infinite location: exit 3, and no --out."""
-        fixtures.build_scene(tmp_path, n_images=3, seed=7)
-        if calib_fx is not None:
-            fixtures.write_calib(tmp_path / "calib" / "000001.txt", calib_fx, 525.7, 159.5, 124.4)
+    def test_pseudolabel_refuses_a_label_the_reader_refuses(self, tmp_path, capsys):
+        """Finite box edges that overflow in the virtual camera give an infinite bbox: exit 3, and no --out."""
+        for d in ("detections", "depth", "calib"):
+            (tmp_path / d).mkdir()
+        dataio.write_depth(np.full((fixtures.RASTER_H, fixtures.RASTER_W), 10.0), tmp_path / "depth" / "000000.dpr")
+        fixtures.write_calib(tmp_path / "calib" / "000000.txt", 500.0, 500.0, 160.0, 120.0)
+        wide = mono3dkit.Detection2D("Car", -1e308, 100.0, 1e308, 200.0, 0.9)
+        dataio.write_detections({"000000": [dataio.DetectionEntry(wide, 0.3)]}, tmp_path / "detections" / "scene.jsonl")
         out = tmp_path / "out"
         with pytest.warns(RuntimeWarning, match="overflow"):
-            assert run_pseudolabel(tmp_path, out, extra) == 3
-        assert f"cannot write label file {out / refused}: x is -inf, not a finite number" in capsys.readouterr().err
+            assert run_pseudolabel(tmp_path, out) == 3
+        assert f"cannot write label file {out / '000000.txt'}: left is -inf, not a finite number" in capsys.readouterr().err
         assert not out.exists()
 
     def test_normalize_refuses_a_label_the_reader_refuses(self, tmp_path, capsys):
         labels, calib = TestNormalizeCommand().make_labels(tmp_path)
+        [rec, *_] = read_labels(labels / "000000.txt")
+        write_labels([replace(rec, left=-1e308)], labels / "000000.txt")
         out = tmp_path / "o"
+        # 1e308 * (1274 / 640) overflows.
         assert main(["normalize", "--labels", str(labels), "--calib", str(calib), "--out", str(out),
-                     "--image-width", "640", "--image-height", "480", "--focal", "1e308"]) == 3
-        assert f"cannot write label file {out / '000000.txt'}: x is -inf" in capsys.readouterr().err
+                     "--image-width", "640", "--image-height", "480"]) == 3
+        assert f"cannot write label file {out / '000000.txt'}: left is -inf" in capsys.readouterr().err
         assert not out.exists()
 
     def test_label_path_that_is_a_directory(self, tmp_path, capsys):
@@ -1232,6 +1245,53 @@ class TestNonRegularTextInputIsDataError:
         assert codes == [2]
         assert f"cannot read {what} file {path}: not a regular file" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestFocalRange:
+    """A focal length outside geometry.FOCAL_RANGE is refused where it is read, with no numpy warning."""
+
+    def quietly(self, run, *args):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(*args)
+        assert [str(w.message) for w in caught] == []
+        return code
+
+    @pytest.mark.parametrize("fx", ["1e-310", "0.5", "2e6"])
+    def test_calibration_focal(self, tmp_path, capsys, fx):
+        fixtures.build_scene(tmp_path, n_images=3, seed=7)
+        path = tmp_path / "calib" / "000001.txt"
+        path.write_text(f"P0: 700 0 160 0 0 700 120 0 0 0 1 0\nP2: {fx} 0 160 0 0 525.7 120 0 0 0 1 0\n")
+        out = tmp_path / "out"
+        assert self.quietly(run_pseudolabel, tmp_path, out) == 2
+        assert f"{path}:2: focal lengths must be positive and in [1, 1e+06] px, got fx={float(fx)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("focal", ["1e308", "0.5"])
+    def test_pseudolabel_virtual_focal(self, tmp_path, capsys, focal):
+        fixtures.build_scene(tmp_path, n_images=3, seed=7)
+        out = tmp_path / "out"
+        assert self.quietly(run_pseudolabel, tmp_path, out, ("--virtual-focal", focal)) == 2
+        err = capsys.readouterr().err
+        assert "virtual_focal" in err and f"focal={float(focal)}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("focal", ["1e308", "1e-310"])
+    def test_normalize_focal(self, tmp_path, capsys, focal):
+        labels, calib = TestNormalizeCommand().make_labels(tmp_path)
+        out = tmp_path / "o"
+        assert self.quietly(main, ["normalize", "--labels", str(labels), "--calib", str(calib), "--out", str(out),
+                                    "--image-width", "640", "--image-height", "480", "--focal", focal]) == 3
+        err = capsys.readouterr().err
+        assert "--focal" in err and f"focal={float(focal)}" in err
+        assert not out.exists()
+
+    def test_range_bounds_are_accepted(self, tmp_path):
+        """A 1 px source focal and a 1e6 px virtual one still label the scene."""
+        fixtures.build_scene(tmp_path, n_images=2, seed=7)
+        for path in (tmp_path / "calib").iterdir():
+            path.write_text("P2: 1 0 160 0 0 1 120 0 0 0 1 0\n")
+        assert self.quietly(run_pseudolabel, tmp_path, tmp_path / "out", ("--virtual-focal", "1e6")) == 0
 
 
 class TestNonFiniteFlagsAreRejected:

@@ -172,6 +172,19 @@ class TestLabels:
             write_label_dir(out, labels)
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, value", [("z", math.nan), ("x", -math.inf), ("score", math.nan)])
+    def test_write_labels_refuses_what_the_reader_refuses(self, tmp_path, name, value):
+        """The one-file writer refuses a non-finite number too, and leaves the old file."""
+        path = tmp_path / "000000.txt"
+        write_labels([record()], path)
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match=f"cannot write label file {path}: {name} is {value}, not a finite number"):
+            write_labels([record(), record(**{name: value})], path)
+        assert path.read_bytes() == before
+        with pytest.raises(ValueError, match=f"{name} is {value}"):
+            write_labels([record(**{name: value})], tmp_path / "new.txt")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["000000.txt"]
+
     def test_label_dir_writes_the_largest_finite_numbers(self, tmp_path):
         """Each field is checked on its own: finite values whose sum overflows pass."""
         big = {f: 1e308 for f in ("truncated", "alpha", "left", "top", "right", "bottom", "x", "y", "z", "rotation_y")}

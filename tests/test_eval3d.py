@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -524,3 +525,16 @@ class TestHeightHistogram:
     def test_invalid_bin_width(self):
         with pytest.raises(ValueError):
             height_histogram([box()], bin_width=0.0)
+
+    @pytest.mark.parametrize("bin_width, count", [(1e-10, "1e+10"), (1e-300, "1e+300"), (5e-324, "inf")])
+    def test_bin_count_capped_before_allocation(self, bin_width, count):
+        with pytest.raises(ValueError, match=rf"bin_width {bin_width} gives {re.escape(count)} bins, more than 1000000"):
+            height_histogram([box(h=1.0), box(h=2.0)], bin_width=bin_width)
+
+    def test_bin_count_cap_is_exact(self):
+        """At a bin width of 1/1024 every quotient is exact: 10**6 bins are built, one more is refused."""
+        top = (1024 + eval3d.MAX_HISTOGRAM_BINS - 1) / 1024
+        stats = height_histogram([box(h=1.0), box(h=top)], bin_width=1 / 1024)
+        assert len(stats.counts) == eval3d.MAX_HISTOGRAM_BINS and stats.counts.sum() == 2
+        with pytest.raises(ValueError, match=r"gives 1e\+06 bins"):
+            height_histogram([box(h=1.0), box(h=top + 1 / 1024)], bin_width=1 / 1024)

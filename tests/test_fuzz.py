@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from mono3dkit.config import PipelineConfig, load_config, parse_config_text
 from mono3dkit.dataio import DEPTH_MAGIC, DETECTION_SCHEMA, read_calib, read_depth, read_detections, read_labels
 from mono3dkit.errors import ConfigError, DataIOError, ParseError
+from mono3dkit.geometry import FOCAL_RANGE
 
 fuzz = settings(max_examples=100, derandomize=True, database=None, deadline=None)
 
@@ -88,7 +89,8 @@ def test_calib_intrinsics_finite_or_are_data_errors(tmp_path_factory, data, widt
     # Every line was parsed, P2's or not, so every value in the file is finite.
     for line in data.decode("ascii").splitlines():
         assert finite(*(float(token) for token in line.partition(":")[2].split()))
-    assert finite(intr.fx, intr.fy, intr.cx, intr.cy) and intr.fx > 0 and intr.fy > 0
+    assert finite(intr.fx, intr.fy, intr.cx, intr.cy)
+    assert all(FOCAL_RANGE[0] <= f <= FOCAL_RANGE[1] for f in (intr.fx, intr.fy))
     assert 0 <= intr.cx <= width and 0 <= intr.cy <= height
 
 

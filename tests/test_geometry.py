@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +66,27 @@ class TestVirtualIntrinsics:
     def test_invalid_spec_rejected(self):
         with pytest.raises(InvalidIntrinsicsError):
             VirtualCameraSpec(focal=-900.0, width=1274, height=644)
+
+    @pytest.mark.parametrize("focal", [1e-310, 0.999, 1e6 * (1 + 2**-52), 1e308])
+    def test_focal_outside_range_rejected(self, focal):
+        with pytest.raises(InvalidIntrinsicsError, match=r"focal lengths must be positive and in \[1, 1e\+06\] px"):
+            CameraIntrinsics(fx=focal, fy=700.0, cx=10.0, cy=10.0, width=100, height=100)
+        with pytest.raises(InvalidIntrinsicsError, match=r"focal lengths must be positive and in \[1, 1e\+06\] px"):
+            CameraIntrinsics(fx=700.0, fy=focal, cx=10.0, cy=10.0, width=100, height=100)
+        with pytest.raises(InvalidIntrinsicsError, match=rf"in \[1, 1e\+06\] px, got focal={re.escape(str(focal))}"):
+            VirtualCameraSpec(focal=focal, width=1274, height=644)
+
+    @pytest.mark.parametrize("fx, focal", [(1.0, 1e6), (1e6, 1.0)])
+    def test_focal_range_keeps_float32_depths_finite(self, fx, focal):
+        """At either extreme ratio of the range, the largest and the smallest positive
+        float32 depths map to finite, positive virtual depths and back."""
+        intr = CameraIntrinsics(fx=fx, fy=fx, cx=10.0, cy=10.0, width=100, height=100)
+        spec = VirtualCameraSpec(focal=focal, width=100, height=100)
+        assert geometry.FOCAL_RANGE == (1.0, 1e6)
+        for z in (float(np.finfo(np.float32).max), float(np.finfo(np.float32).smallest_subnormal)):
+            _, _, z_v = to_virtual(5.0, 5.0, z, intr, spec)
+            assert 0 < z_v < math.inf and 0 < fx / z < math.inf
+            assert 0 < from_virtual(5.0, 5.0, z_v, intr, spec).z < math.inf
 
 
 class TestVirtualTransforms:

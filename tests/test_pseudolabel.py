@@ -18,7 +18,6 @@ from mono3dkit.pseudolabel import (
     DimensionPrior,
     LabelingDiagnostics,
     PseudoLabel,
-    estimate_dimensions,
     generate_pseudo_labels,
 )
 
@@ -105,6 +104,17 @@ def median_depth(raster, u, v, window):
     return float(np.median(valid)) if valid is not None and valid.size else None
 
 
+def scalar_dimensions(d, z, yaw, intr, prior):
+    """Reference: the (h, w, l) of detection `d` at source depth z, in plain floats.  The
+    prior's width and length scale by the 2D width over their projected width, clamped."""
+    cls = prior.classes[d.class_id]
+    h = (d.bottom - d.top) * z / intr.fy
+    width_2d = (intr.fx / z) * (abs(cls.width * math.cos(yaw)) + abs(cls.length * math.sin(yaw)))
+    scale = abs((d.right - d.left) / width_2d)
+    clamped = min(max(scale, prior.alpha), prior.beta)
+    return h, cls.width * clamped, cls.length * clamped
+
+
 def per_detection_labels(dets, depth, yaws, intr, spec, prior, threshold, window, grid):
     """Reference: generate_pseudo_labels as one scalar pass per detection over the two oracles above."""
     diag = LabelingDiagnostics(n_detections=len(dets))
@@ -123,7 +133,7 @@ def per_detection_labels(dets, depth, yaws, intr, spec, prior, threshold, window
         if prior.classes.get(d.class_id) is None:
             diag.n_no_prior += 1
             continue
-        h, w, l = estimate_dimensions(d, z, yaw, intr, prior)
+        h, w, l = scalar_dimensions(d, z, yaw, intr, prior)
         center = geometry.backproject(*geometry.to_virtual(*box_center(d), z, intr, spec), vintr)
         box = Box3D(d.class_id, center.x, center.y + h / 2.0, center.z, h, w, l, yaw, d.score)
         bbox = (*vintr.pixel(d.left, d.top), *vintr.pixel(d.right, d.bottom))
@@ -366,9 +376,18 @@ class TestSampleDepths:
 
 
 class TestEstimateDimensions:
+    """The box dimensions generate_pseudo_labels gives one detection over a constant-depth raster."""
+
+    @staticmethod
+    def dims(d, z, yaw, intr=INTR):
+        raster = DepthRaster.from_values(np.full((intr.height, intr.width), z))
+        spec = VirtualCameraSpec(focal=intr.fx, width=intr.width, height=intr.height)
+        [box] = generate_pseudo_labels([d], raster, [yaw], intr, spec, PRIOR).boxes
+        return box.h, box.w, box.l
+
     def test_height_from_projective_relation(self):
         intr = CameraIntrinsics(fx=900.0, fy=900.0, cx=320.0, cy=240.0, width=640, height=480)
-        h, _, _ = estimate_dimensions(det(100, 100, 150, 200), z=9.0, yaw=0.0, intr=intr, prior=PRIOR)
+        h, _, _ = self.dims(det(100, 100, 150, 200), z=9.0, yaw=0.0, intr=intr)
         assert h == pytest.approx(1.0, rel=1e-12)
 
     def test_consistent_box_keeps_prior_dims(self):
@@ -376,7 +395,7 @@ class TestEstimateDimensions:
         z = 10.0
         width_px = INTR.fx * cls.width / z
         d = det(100, 100, 100 + width_px, 200)
-        _, w, l = estimate_dimensions(d, z=z, yaw=0.0, intr=INTR, prior=PRIOR)
+        _, w, l = self.dims(d, z=z, yaw=0.0)
         assert w == pytest.approx(cls.width, rel=1e-12)
         assert l == pytest.approx(cls.length, rel=1e-12)
 
@@ -385,7 +404,7 @@ class TestEstimateDimensions:
         z = 10.0
         width_px = INTR.fx * cls.width / z
         d = det(100, 100, 100 + 10 * width_px, 200)
-        _, w, l = estimate_dimensions(d, z=z, yaw=0.0, intr=INTR, prior=PRIOR)
+        _, w, l = self.dims(d, z=z, yaw=0.0)
         assert w == pytest.approx(2.0 * cls.width, rel=1e-12)
         assert l == pytest.approx(2.0 * cls.length, rel=1e-12)
 
@@ -394,16 +413,16 @@ class TestEstimateDimensions:
         z = 10.0
         width_px = INTR.fx * cls.width / z
         d = det(100, 100, 100 + 0.01 * width_px, 200)
-        _, w, _ = estimate_dimensions(d, z=z, yaw=0.0, intr=INTR, prior=PRIOR)
+        _, w, _ = self.dims(d, z=z, yaw=0.0)
         assert w == pytest.approx(0.5 * cls.width, rel=1e-12)
 
     def test_yaw_sign_and_pi_symmetry(self):
         d = det(100, 100, 180, 200)
         for yaw in (0.3, 1.1, -2.0):
-            base = estimate_dimensions(d, 8.0, yaw, INTR, PRIOR)
-            assert estimate_dimensions(d, 8.0, -yaw, INTR, PRIOR) == base
+            base = self.dims(d, 8.0, yaw)
+            assert self.dims(d, 8.0, -yaw) == base
             mirrored = wrap_angle(yaw + math.pi)
-            flipped = estimate_dimensions(d, 8.0, mirrored, INTR, PRIOR)
+            flipped = self.dims(d, 8.0, mirrored)
             assert flipped[1] == pytest.approx(base[1], rel=1e-9)
             assert flipped[2] == pytest.approx(base[2], rel=1e-9)
 
@@ -413,16 +432,15 @@ class TestEstimateDimensions:
             top = float(rng.uniform(0, 200))
             bottom = top + float(rng.uniform(5, 200))
             z = float(rng.uniform(1, 60))
-            h, _, _ = estimate_dimensions(det(10, top, 60, bottom), z, 0.2, INTR, PRIOR)
+            h, _, _ = self.dims(det(10, top, 60, bottom), z, 0.2)
             assert abs(h * INTR.fy - (bottom - top) * z) <= 1e-9 * abs((bottom - top) * z)
 
-    def test_nonpositive_depth_rejected(self):
-        with pytest.raises(NonPositiveDepthError):
-            estimate_dimensions(det(0, 0, 10, 10), z=0.0, yaw=0.0, intr=INTR, prior=PRIOR)
-
-    def test_unknown_class_rejected(self):
-        with pytest.raises(KeyError):
-            estimate_dimensions(det(0, 0, 10, 10, cls="Unicorn"), 5.0, 0.0, INTR, PRIOR)
+    def test_degenerate_projected_width_rejected(self):
+        """A subnormal prior at a far depth projects to a width of exactly 0."""
+        prior = DimensionPrior(classes={"Car": ClassPrior(width=1e-320, length=1e-320, height=1e-320)})
+        raster = DepthRaster.from_values(np.full((480, 640), 3e6))
+        with pytest.raises(ValueError, match="degenerate projected width; prior dimensions cannot both be zero"):
+            generate_pseudo_labels([det(100, 100, 200, 300, cls="Car")], raster, [0.0], INTR, IDENTITY_SPEC, prior)
 
 
 class TestGeneratePseudoLabels:
@@ -623,20 +641,26 @@ class TestOneArrayPassPerImage:
         labels, diag = per_detection_labels(dets, raster, yaws, INTR, self.SPEC, PRIOR, 0.1, window, grid)
         assert result.labels == labels
         assert result.diagnostics == diag
-        return diag
+        return labels, diag
 
     @pytest.mark.parametrize("grid", [1, 2, 3, 5])
     def test_crowded_scenes(self, grid):
         rng = np.random.default_rng(50 + grid)
         totals = collections.Counter()
+        clamped = collections.Counter()
         for n, dtype in ((40, np.float32), (80, np.float64), (120, np.float32)):
             dets = self.scene(rng, n)
             yaws = rng.uniform(-4.0, 4.0, len(dets)).tolist()
             # Narrower and shorter than the scene, so some points fall off the raster.
             raster = speckled_raster(rng, 240, 3 * n, dtype)
             for window in (1, 3, 5):
-                diag = self.assert_equal_to_oracle(dets, raster, yaws, window, grid)
+                labels, diag = self.assert_equal_to_oracle(dets, raster, yaws, window, grid)
                 totals.update({k: v for k, v in vars(diag).items() if k != "n_detections"})
+                for entry in labels:
+                    width = PRIOR.classes[entry.box.class_id].width
+                    clamped[{width * PRIOR.alpha: "alpha", width * PRIOR.beta: "beta"}.get(entry.box.w)] += 1
+        # Both saturated branches of the clamp are compared exactly.
+        assert clamped["alpha"] > 0 and clamped["beta"] > 0, clamped
         clean = totals["n_emitted"] + totals["n_no_depth"] + totals["n_no_prior"] - totals["n_fallback"]
         assert min(totals["n_no_depth"], totals["n_no_prior"], totals["n_below_threshold"], clean) > 0, totals
         assert 0 < totals["n_conflict"] < totals["n_fallback"], totals

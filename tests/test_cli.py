@@ -711,7 +711,7 @@ class TestOutputsAreWrittenWhole:
         assert f"{calib / '000001.txt'}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_pseudolabel_refuses_a_label_the_reader_refuses(self, tmp_path, capsys):
+    def test_pseudolabel_refuses_an_overflowing_bbox(self, tmp_path, capsys):
         """Finite box edges that overflow in the virtual camera give an infinite bbox: exit 3, and no --out."""
         for d in ("detections", "depth", "calib"):
             (tmp_path / d).mkdir()
@@ -723,6 +723,33 @@ class TestOutputsAreWrittenWhole:
         with pytest.warns(RuntimeWarning, match="overflow"):
             assert run_pseudolabel(tmp_path, out) == 3
         assert f"cannot write label file {out / '000000.txt'}: left is -inf, not a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra, calib_fx",
+        # With a 1e4 px source focal and the default 900 px virtual focal, or a 500 px
+        # source focal, the scene below labels cleanly; the focal changed here alone
+        # drives the virtual depth z * f_v / fx, and so x, past float range.
+        [(("--virtual-focal", "1e6"), 1e4), ((), 1.0)],
+        ids=["virtual-focal", "calib-fx"],
+    )
+    def test_pseudolabel_refuses_a_label_the_reader_refuses(self, tmp_path, capsys, extra, calib_fx):
+        """A depth scale that overflows gives an infinite location: exit 3, and no --out."""
+        for d in ("detections", "depth", "calib"):
+            (tmp_path / d).mkdir()
+        dataio.write_depth(np.full((fixtures.RASTER_H, fixtures.RASTER_W), 10.0), tmp_path / "depth" / "000000.dpr")
+        fixtures.write_calib(tmp_path / "calib" / "000000.txt", calib_fx, 500.0, 160.0, 120.0)
+        # `far` is centered at u = -c, far off the raster, inside `cover`; the first point of its
+        # fallback lattice that `cover` leaves clear is u = 0, on the raster, so it gets a depth.
+        c = 2.0**1015
+        far = mono3dkit.Detection2D("Car", -3 * c, 100.0, c, 200.0, 0.9)
+        cover = mono3dkit.Detection2D("Car", -4 * c, 90.0, -1.0, 210.0, 0.9)
+        entries = [dataio.DetectionEntry(far, 0.3), dataio.DetectionEntry(cover, 0.3)]
+        dataio.write_detections({"000000": entries}, tmp_path / "detections" / "scene.jsonl")
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert run_pseudolabel(tmp_path, out, extra) == 3
+        assert f"cannot write label file {out / '000000.txt'}: x is -inf, not a finite number" in capsys.readouterr().err
         assert not out.exists()
 
     def test_normalize_refuses_a_label_the_reader_refuses(self, tmp_path, capsys):
